@@ -101,10 +101,7 @@ def pairs_within(network: Network, radius: float) -> tuple[np.ndarray, np.ndarra
             keep = (ii + start) < jj
             rows.append(ii[keep] + start)
             cols.append(jj[keep])
-        return (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64),
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-        )
+        return np.concatenate(rows), np.concatenate(cols)
     ii, jj = np.nonzero(np.triu(network.distances <= radius, k=1))
     return ii, jj
 
@@ -161,6 +158,15 @@ def derive_sense_range(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _adjacency(ii: np.ndarray, jj: np.ndarray, n: int) -> tuple:
+    """Symmetric graph on pairs ``(ii, jj)`` as CSR ``(indptr, nbr)``."""
+    rows = np.concatenate([ii, jj]).astype(np.int64)
+    cols = np.concatenate([jj, ii]).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.argsort(rows * np.int64(n) + cols)]
 
 
 class MacSession(ABC):
@@ -297,6 +303,16 @@ class _CsmaSession(MacSession):
             else derive_sense_range(network, model.sense_threshold)
         )
         self.sense_i, self.sense_j = pairs_within(network, self.sense_range)
+        self.indptr, self.nbr = _adjacency(self.sense_i, self.sense_j, self.n)
+
+    def _draws(self, round_no: int) -> tuple:
+        """The slot's ``(gate, backoff)``: the persistence gate
+        (``None`` at ``persist = 1``) consumes the round-keyed stream
+        first, so both draws are round-reproducible."""
+        rng = round_rng(self.model.seed, round_no)
+        persist = self.model.persist
+        gate = rng.random(self.n) < persist if persist < 1.0 else None
+        return gate, rng.integers(0, self.model.cw, size=self.n)
 
     def round_backoff(self, round_no: int) -> np.ndarray:
         """The slot's shared ``(n,)`` integer backoff draw in ``[0, cw)``.
@@ -308,43 +324,29 @@ class _CsmaSession(MacSession):
         "no transmitter has a transmitting sense-neighbour with a
         strictly smaller backoff" directly against this draw.
         """
-        model: CSMA = self.model  # type: ignore[assignment]
-        rng = round_rng(model.seed, round_no)
-        if model.persist < 1.0:
-            # The persistence gate consumes the stream first, in a
-            # fixed order, so both draws are round-reproducible.
-            self._gate = rng.random(self.n) < model.persist
-        else:
-            self._gate = None
-        return rng.integers(0, model.cw, size=self.n)
+        return self._draws(round_no)[1]
 
     def transmit_mask(self, round_no, intents, network):
-        backoff = self.round_backoff(round_no)
-        if self._gate is not None:
-            intents = intents & self._gate[None, :]
-        B = intents.shape[0]
+        gate, backoff = self._draws(round_no)
+        if gate is not None:
+            intents = intents & gate[None, :]
+        # The CSR rows of every (b, v) intender of the batch, gathered
+        # in one pass: entry e is a sense-neighbour of intender owner[e].
+        bs, vs = np.divmod(np.flatnonzero(intents), self.n)
+        degree = self.indptr[vs + 1] - self.indptr[vs]
+        owner = np.repeat(np.arange(vs.size), degree)
+        shift = self.indptr[vs] - (np.cumsum(degree) - degree)
+        nbr = self.nbr[np.arange(owner.size) + shift[owner]]
+        # Minimum backoff among *intending* sense-neighbours; cw (above
+        # every draw) where an intender has none.
+        floor = np.full(vs.size, self.model.cw, dtype=np.int64)
+        live = intents[bs[owner], nbr]
+        np.minimum.at(floor, owner[live], backoff[nbr[live]])
+        # A station transmits unless a sensed contender grabbed a strictly
+        # earlier sub-slot.  Equal draws start simultaneously — neither
+        # sensed the other — the textbook residual collision of CSMA.
         out = np.zeros_like(intents)
-        model: CSMA = self.model  # type: ignore[assignment]
-        for b in range(B):
-            act = intents[b]
-            if not act.any():
-                continue
-            # Minimum backoff among *intending* sense-neighbours; cw
-            # (above every draw) where a station has none.
-            floor = np.full(self.n, model.cw, dtype=np.int64)
-            mask = act[self.sense_j]
-            np.minimum.at(
-                floor, self.sense_i[mask], backoff[self.sense_j[mask]]
-            )
-            mask = act[self.sense_i]
-            np.minimum.at(
-                floor, self.sense_j[mask], backoff[self.sense_i[mask]]
-            )
-            # A station transmits unless a sensed contender grabbed a
-            # strictly earlier sub-slot.  Equal draws start
-            # simultaneously — neither sensed the other — which is the
-            # textbook residual collision of CSMA.
-            out[b] = act & (backoff <= floor)
+        out[bs, vs] = backoff[vs] <= floor
         return out
 
 
@@ -432,10 +434,7 @@ class _TdmaSession(MacSession):
         colors = np.where(np.isnan(backbone.colors), 0.0, backbone.colors)
         radius = model.interference_scale * network.params.comm_radius
         ii, jj = pairs_within(network, radius)
-        adjacency: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            adjacency[i].append(j)
-            adjacency[j].append(i)
+        indptr, nbr = _adjacency(ii, jj, self.n)
         # Backbone-informed greedy proper coloring of the interference
         # graph: stations with high p_v (sparse neighbourhoods, early
         # quitters of StabilizeProbability) claim early slots, so the
@@ -443,7 +442,7 @@ class _TdmaSession(MacSession):
         order = sorted(range(self.n), key=lambda v: (-colors[v], v))
         slots = np.full(self.n, -1, dtype=np.int64)
         for v in order:
-            taken = {int(slots[u]) for u in adjacency[v] if slots[u] >= 0}
+            taken = set(slots[nbr[indptr[v]:indptr[v + 1]]].tolist())
             slot = 0
             while slot in taken:
                 slot += 1

@@ -474,9 +474,9 @@ class SparseGainBackend:
             listeners = np.empty(0, dtype=np.int64)
             senders = np.empty(0, dtype=np.int64)
             dists = np.empty(0)
-        # CSR rows per listener with columns in ascending sender order:
-        # the fold order the exact-equality contract relies on.
-        perm = np.lexsort((senders, listeners))
+        # CSR rows per listener, senders ascending (the fold order the
+        # exact-equality contract relies on); (listener, sender) is unique.
+        perm = np.argsort(listeners * np.int64(self.n) + senders)
         listeners, senders, dists = (
             listeners[perm], senders[perm], dists[perm]
         )

@@ -16,7 +16,7 @@ arbitration is round-keyed — so a workload replays bit-for-bit across
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -211,22 +211,25 @@ def run_traffic(
     beta = network.params.beta
     kern = network.kernel_kind
 
-    queues = [deque() for _ in range(n)]  # entries: (flow_id, inject_round)
+    # Queues only for stations that held packets; backlog mirrors them.
+    queues = defaultdict(deque)  # entries: (flow_id, inject_round)
+    backlog = np.zeros(n, dtype=np.int64)
+
+    def enqueue(v: int, k: int, t0: int) -> None:
+        if len(queues[v]) >= queue_cap:
+            stats[k].dropped += 1
+        else:
+            queues[v].append((k, t0))
+            backlog[v] += 1
+
     transmissions = 0
     collisions = 0
     for t in range(rounds):
-        for k in range(len(flows)):
-            count = int(arrival_counts[k][t])
-            src = flows[k].src
-            for _ in range(count):
+        for k, flow in enumerate(flows):
+            for _ in range(int(arrival_counts[k][t])):
                 stats[k].injected += 1
-                if len(queues[src]) >= queue_cap:
-                    stats[k].dropped += 1
-                else:
-                    queues[src].append((k, t))
-        intents = np.array(
-            [bool(queues[v]) for v in range(n)], dtype=bool
-        )[None, :]
+                enqueue(flow.src, k, t)
+        intents = (backlog > 0)[None, :]
         if not intents.any():
             continue
         tx_mask = (
@@ -263,6 +266,7 @@ def run_traffic(
                 if next_hop[k][v] != hop:
                     break  # only packets riding the same link this slot
                 queues[v].popleft()
+                backlog[v] -= 1
                 budget -= 1
                 if hop == flows[k].dst:
                     stats[k].delivered += 1
@@ -270,12 +274,9 @@ def run_traffic(
                 else:
                     forwards.append((hop, k, t0))
         for hop, k, t0 in forwards:
-            if len(queues[hop]) >= queue_cap:
-                stats[k].dropped += 1
-            else:
-                queues[hop].append((k, t0))
+            enqueue(hop, k, t0)
 
-    for queue in queues:
+    for queue in queues.values():
         for k, _t0 in queue:
             stats[k].queued += 1
     return TrafficResult(

@@ -289,6 +289,50 @@ class TestRateTableIntegration:
         assert adaptive.conservation_ok() and plain.conservation_ok()
 
 
+class TestGoldenPin:
+    def test_sparse_csma_rate_table_outputs_pinned(self):
+        # Exact outputs of a small sparse CSMA workload with adaptive
+        # rates and a tight queue cap, recorded before the backlog
+        # array and the CSR arbitration landed.  The parameters make
+        # all three queue paths fire: source drops (68), forward
+        # overflow drops (5) and multi-packet head-of-line pops (56
+        # slots carrying two or more packets).
+        rng = np.random.default_rng(11)
+        while True:
+            net = Network(
+                rng.uniform(0.0, 3.0, size=(40, 2)),
+                backend="sparse", cutoff=1.5,
+            )
+            if net.is_connected:
+                break
+        flows = [
+            Flow(0, 17, Poisson(0.9)),
+            Flow(5, 30, CBR(1.0)),
+            Flow(22, 9, Poisson(0.6)),
+        ]
+        result = run_traffic(
+            net, flows, 60, np.random.default_rng(7),
+            mac=CSMA(persist=0.7, cw=4, seed=3),
+            rate_table=RateTable(), queue_cap=3,
+        )
+        assert net.backend_kind == "sparse"
+        assert [
+            (fs.injected, fs.delivered, fs.dropped, fs.queued,
+             fs.collisions, fs.latencies)
+            for fs in result.flows
+        ] == [
+            (55, 17, 33, 5, 13,
+             [4, 4, 12, 16, 15, 7, 11, 11, 16, 10, 10, 7, 6, 16, 20, 17,
+              11]),
+            (60, 15, 40, 5, 6,
+             [9, 8, 7, 8, 5, 13, 12, 15, 13, 12, 21, 14, 17, 13, 12]),
+            (38, 38, 0, 0, 0,
+             [1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1,
+              1, 1, 2, 2, 1, 1, 3, 2, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1]),
+        ]
+        assert (result.transmissions, result.collisions) == (106, 19)
+
+
 class TestSweep:
     def test_traffic_sweep_shape_and_headline(self):
         net = _converge_net()
