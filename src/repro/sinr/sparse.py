@@ -37,7 +37,9 @@ The cutoff must be at least the broadcast range ``r``: any transmitter
 that clears ``beta >= 1`` at a listener sits within ``r`` of it
 (``g >= beta (N + I) >= beta N`` pins ``d <= r``), so the strongest
 *receivable* transmitter is always in the near field and truncation can
-only ever suppress sub-threshold far senders.
+only ever suppress sub-threshold far senders.  The same bound lets the
+numpy resolvers pick the strongest sender from the entries with
+``g >= beta N`` alone (:meth:`SparseGainBackend._strong_rows`).
 
 The growth dimension enters through the *cutoff choice*
 (:func:`certified_cutoff` / :func:`far_field_tail_bound`): growth-bounded
@@ -89,6 +91,12 @@ MIN_CELL_BUDGET = 65536
 #: Relative slack folded onto the certified band to absorb FFT rounding
 #: (the bracket kernels are exact per pair; the convolution is not).
 FFT_SLACK_REL = 1e-9
+
+#: Relative slack under ``beta * noise`` for the strong-entry threshold:
+#: a near gain below ``beta * noise * (1 - STRONG_SLACK)`` is rejected by
+#: the resolver's rounded SINR test whatever the interference, as long
+#: as ``(8 + beta) * 2**-52 < STRONG_SLACK`` (DESIGN.md §2.2).
+STRONG_SLACK = 1e-9
 
 
 def default_cutoff(params: SINRParameters) -> float:
@@ -443,6 +451,7 @@ class SparseGainBackend:
         self._kernels: Optional[tuple] = None
         self._far_spatial: Optional[tuple] = None
         self._entry_keys_cache: Optional[np.ndarray] = None
+        self._strong: Optional[tuple] = None
 
     # -- construction --------------------------------------------------
     def _radial(self, dist: np.ndarray) -> np.ndarray:
@@ -533,6 +542,8 @@ class SparseGainBackend:
             total += self._dists.nbytes
         if self._kernels is not None:
             total += sum(k.nbytes for k in self._kernels[0:2])
+        if self._strong is not None:
+            total += sum(a.nbytes for a in self._strong[1:])
         return total
 
     # -- incremental updates (mobility, DESIGN.md §7) -------------------
@@ -922,12 +933,15 @@ class SparseGainBackend:
 
     # -- near-field scan ------------------------------------------------
     def _row_positions(
-        self, rows: np.ndarray
+        self, rows: np.ndarray, indptr: Optional[np.ndarray] = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """CSR storage positions of ``rows``' entries, concatenated in
-        given row order: ``(positions, per-row lengths)``."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
+        given row order: ``(positions, per-row lengths)``.  ``indptr``
+        selects another row layout (default: the full near field)."""
+        if indptr is None:
+            indptr = self.indptr
+        starts = indptr[rows]
+        lengths = indptr[rows + 1] - starts
         total = int(lengths.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), lengths
@@ -938,30 +952,14 @@ class SparseGainBackend:
         )
         return pos, lengths
 
-    def _gather_rows(
-        self, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated CSR entries of ``rows`` in given row order.
-
-        :returns: ``(listeners, values, senders)`` — for symmetric
-            gains the CSR row of sender ``t`` *is* its column, so
-            gathering rows of the transmitter set enumerates each
-            transmitter's contribution at every near listener, rows in
-            ascending ``t`` (the fold order of the exact contract).
-        """
-        pos, lengths = self._row_positions(rows)
-        if pos.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0), empty
-        listeners = self.indices[pos].astype(np.int64, copy=False)
-        values = self.data[pos]
-        senders = np.repeat(rows, lengths)
-        return listeners, values, senders
-
     def _near_scan(
         self, transmitters: np.ndarray, kernel: Optional[str] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact near-field totals and strongest near sender.
+
+        For symmetric gains the CSR row of sender ``t`` *is* its
+        column, so gathering the transmitters' rows (ascending ``t``)
+        enumerates each one's contribution at every near listener.
 
         :returns: ``(total, best_gain, best_sender)`` per listener;
             ``total`` folds gains in ascending sender order (bincount
@@ -976,7 +974,10 @@ class SparseGainBackend:
                 self.indptr, self.indices, self.data,
                 np.asarray(transmitters, dtype=np.int64), self.n,
             )
-        listeners, values, senders = self._gather_rows(transmitters)
+        pos, lengths = self._row_positions(transmitters)
+        listeners = self.indices[pos].astype(np.int64, copy=False)
+        values = self.data[pos]
+        senders = np.repeat(transmitters, lengths)
         total = np.bincount(listeners, weights=values, minlength=self.n)
         best_gain = np.zeros(self.n)
         np.maximum.at(best_gain, listeners, values)
@@ -986,6 +987,92 @@ class SparseGainBackend:
             best_sender, listeners[winners], senders[winners]
         )
         return total, best_gain, best_sender
+
+    def _strong_rows(self, noise: float, beta: float) -> tuple:
+        """Strong sub-CSR for ``(noise, beta)``, built on first use.
+
+        Keeps the near entries with ``g >= beta * noise * (1 -
+        STRONG_SLACK)`` — a superset of every decodable entry (DESIGN.md
+        §2.2) — as ``(indptr, listeners, keys, gains)``.  Each entry's
+        ``int64`` key packs ``rank(g) << 32 | (n - 1 - sender)`` with
+        ``gains[rank] == g``, so the largest key at a listener is its
+        strongest sender with ties broken to the lowest index.  One
+        layout is kept per backend, rebuilt when ``(noise, beta)``
+        changes.  Raises :class:`ProtocolError` for a ``beta`` the slack
+        cannot cover.
+        """
+        key = (float(noise), float(beta))
+        if self._strong is None or self._strong[0] != key:
+            if not (8 + beta) * 2.0 ** -52 < STRONG_SLACK:
+                raise ProtocolError(
+                    f"beta {beta} is too large for the strong-entry slack"
+                )
+            threshold = beta * noise * (1.0 - STRONG_SLACK)
+            keep = np.flatnonzero(self.data >= threshold)
+            indptr = np.searchsorted(keep, self.indptr)
+            rows = np.repeat(
+                np.arange(self.n, dtype=self.indices.dtype), np.diff(indptr)
+            )
+            gains, rank = np.unique(self.data[keep], return_inverse=True)
+            keys = rank.astype(np.int64) << 32
+            keys |= self.n - 1 - rows
+            self._strong = (key, indptr, self.indices[keep], keys, gains)
+        return self._strong[1:]
+
+    def _receptions(
+        self,
+        transmitters: np.ndarray,
+        noise: float,
+        beta: float,
+        kernel: str,
+        far_at=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. (1) decisions of one sorted transmitter set.
+
+        The near total is the exact ascending-sender fold over every
+        gathered entry.  The strongest sender comes from the strong
+        entries only (:meth:`_strong_rows`, one packed ``maximum.at``),
+        and the SINR test runs only at *candidates* — listeners reached
+        by a strong entry.  Any other listener's best gain is below the
+        threshold, so the full-scan test would reject it too: the
+        decisions are bitwise those of deciding every listener from
+        :meth:`_near_scan` (DESIGN.md §2.2).  The compiled kernel keeps
+        its full scan and decides at every listener with a near sender.
+
+        :param far_at: ``cand -> (far_estimate, band)`` at the
+            candidates, or ``None`` when the far set is empty.
+        :returns: ``(receivers, senders)``, receivers ascending.
+        """
+        n = self.n
+        if kernel == "compiled":
+            total, gain, sender = self._near_scan(transmitters, kernel)
+            cand = np.flatnonzero(sender < n)
+            total, gain, sender = total[cand], gain[cand], sender[cand]
+        else:
+            pos, _ = self._row_positions(transmitters)
+            total = np.bincount(
+                self.indices.take(pos), weights=self.data.take(pos),
+                minlength=n,
+            )
+            indptr, listeners, keys, gains = self._strong_rows(noise, beta)
+            spos, _ = self._row_positions(transmitters, indptr)
+            best = np.full(n, -1, dtype=np.int64)
+            np.maximum.at(best, listeners.take(spos), keys.take(spos))
+            cand = np.flatnonzero(best >= 0)
+            best = best[cand]
+            total = total[cand]
+            gain = gains[best >> 32]
+            sender = n - 1 - (best & 0xFFFFFFFF)
+        if cand.size == 0:
+            return cand, cand
+        denom = noise + total - gain
+        if far_at is not None:
+            far, band = far_at(cand)
+            denom = denom + far + band
+        is_tx = np.zeros(n, dtype=bool)
+        is_tx[transmitters] = True
+        ok = (np.divide(gain, denom) >= beta) & ~is_tx[cand]
+        return cand[ok], sender[ok]
 
     # -- resolvers -------------------------------------------------------
     def resolve_reception_batch(
@@ -1000,7 +1087,8 @@ class SparseGainBackend:
         Mirrors :func:`repro.sinr.reception.resolve_reception_batch`:
         returns the ``(B, n)`` heard-sender array.  The SINR denominator
         is ``N + I_near + I_far_estimate + band``; with the far set
-        empty it degenerates to the dense expression exactly.  ``kernel``
+        empty it degenerates to the dense expression exactly.  Each
+        replication is decided by :meth:`_receptions`.  ``kernel``
         overrides the backend's construction-time kernel for this call.
         """
         tx_mask = np.asarray(tx_mask, dtype=bool)
@@ -1021,15 +1109,14 @@ class SparseGainBackend:
             transmitters = np.flatnonzero(tx_mask[b])
             if transmitters.size == 0:
                 continue
-            total, best_gain, best_sender = self._near_scan(
-                transmitters, kern
-            )
-            denom = noise + total - best_gain
+            far_at = None
             if far is not None:
-                denom = denom + far[b] + band[b]
-            sinr = np.divide(best_gain, denom)
-            ok = (best_sender < self.n) & (sinr >= beta) & ~tx_mask[b]
-            heard[b, ok] = best_sender[ok]
+                def far_at(cand, b=b):
+                    return far[b, cand], band[b, cand]
+            receivers, senders = self._receptions(
+                transmitters, noise, beta, kern, far_at
+            )
+            heard[b, receivers] = senders
         return heard
 
     def _far_direct(
@@ -1091,14 +1178,11 @@ class SparseGainBackend:
         """Heterogeneous-set resolution restricted to reachable listeners.
 
         The serving path of
-        :func:`repro.sinr.reception.resolve_reception_many`: the near
-        fold is the ordinary :meth:`_near_scan` (bitwise the batch
-        resolver's arithmetic, compiled kernel included), after which
-        the per-set work — far field, SINR, decisions — runs only at
-        the **candidate listeners**: stations with at least one
-        transmitter inside the cutoff.  Every other station provably
-        hears nothing (its best near sender does not exist, and the
-        ``best_sender < n`` guard rejects it regardless of ``beta``),
+        :func:`repro.sinr.reception.resolve_reception_many`: each set
+        goes through :meth:`_receptions`, the batch resolver's own scan
+        and decision (compiled kernel included), so the far field is
+        needed only at the **candidate listeners** — those reached by a
+        strong near entry.  Every other station provably hears nothing,
         so skipping it cannot change a bit.  The far term comes from
         :meth:`_far_direct`, whose cost scales with the query instead
         of the cell grid — which is what makes coalesced query serving
@@ -1141,28 +1225,17 @@ class SparseGainBackend:
         else:
             block = np.full((len(sets), self.n), NO_SENDER, dtype=np.intp)
             out = list(block)
-        is_tx = np.zeros(self.n, dtype=bool)
         for b, transmitters in enumerate(sets):
             if transmitters.size == 0:
                 continue
-            total, best_gain, best_sender = self._near_scan(
-                transmitters, kern
-            )
-            cand = np.flatnonzero(best_sender < self.n)
-            if cand.size == 0:
-                continue
-            gain_c = best_gain[cand]
-            denom = noise + total[cand] - gain_c
+            far_at = None
             if not self.far_empty:
-                est, err = self._far_direct(transmitters, cand)
-                band = err + FFT_SLACK_REL * (est + err)
-                denom = denom + est + band
-            sinr = np.divide(gain_c, denom)
-            is_tx[transmitters] = True
-            ok = (sinr >= beta) & ~is_tx[cand]
-            is_tx[transmitters] = False
-            receivers = cand[ok]
-            senders = best_sender[receivers]
+                def far_at(cand, transmitters=transmitters):
+                    est, err = self._far_direct(transmitters, cand)
+                    return est, err + FFT_SLACK_REL * (est + err)
+            receivers, senders = self._receptions(
+                transmitters, noise, beta, kern, far_at
+            )
             if compact:
                 out[b] = (receivers, senders)
             else:
