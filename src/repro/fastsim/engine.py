@@ -154,6 +154,8 @@ def dissemination_loop_batch(
     while round_no < end and running.any():
         k = (round_no - start_round) % DRAW_CHUNK
         if k == 0 or buffer is None:
+            # Drop the spent block first, so at most one is alive.
+            buffer = None
             buffer = draw_block(
                 rngs, running, min(DRAW_CHUNK, end - round_no), n
             )

@@ -38,8 +38,8 @@ that clears ``beta >= 1`` at a listener sits within ``r`` of it
 (``g >= beta (N + I) >= beta N`` pins ``d <= r``), so the strongest
 *receivable* transmitter is always in the near field and truncation can
 only ever suppress sub-threshold far senders.  The same bound lets the
-numpy resolvers pick the strongest sender from the entries with
-``g >= beta N`` alone (:meth:`SparseGainBackend._strong_rows`).
+resolvers pick the strongest sender from the entries with
+``g >= beta N`` alone (:meth:`SparseGainBackend._receptions`).
 
 The growth dimension enters through the *cutoff choice*
 (:func:`certified_cutoff` / :func:`far_field_tail_bound`): growth-bounded
@@ -92,10 +92,11 @@ MIN_CELL_BUDGET = 65536
 #: (the bracket kernels are exact per pair; the convolution is not).
 FFT_SLACK_REL = 1e-9
 
-#: Relative slack under ``beta * noise`` for the strong-entry threshold:
-#: a near gain below ``beta * noise * (1 - STRONG_SLACK)`` is rejected by
-#: the resolver's rounded SINR test whatever the interference, as long
-#: as ``(8 + beta) * 2**-52 < STRONG_SLACK`` (DESIGN.md §2.2).
+#: Least relative slack under ``beta * noise`` for the strong-entry
+#: floor: a near gain below ``beta * noise * (1 - s)`` is rejected by the
+#: resolver's rounded SINR test whatever the interference, as long as
+#: ``(8 + beta) * 2**-52 < s`` (DESIGN.md §2.2); the resolver widens
+#: ``s`` past that bound for very large ``beta``.
 STRONG_SLACK = 1e-9
 
 
@@ -451,7 +452,6 @@ class SparseGainBackend:
         self._kernels: Optional[tuple] = None
         self._far_spatial: Optional[tuple] = None
         self._entry_keys_cache: Optional[np.ndarray] = None
-        self._strong: Optional[tuple] = None
 
     # -- construction --------------------------------------------------
     def _radial(self, dist: np.ndarray) -> np.ndarray:
@@ -542,8 +542,6 @@ class SparseGainBackend:
             total += self._dists.nbytes
         if self._kernels is not None:
             total += sum(k.nbytes for k in self._kernels[0:2])
-        if self._strong is not None:
-            total += sum(a.nbytes for a in self._strong[1:])
         return total
 
     # -- incremental updates (mobility, DESIGN.md §7) -------------------
@@ -933,15 +931,12 @@ class SparseGainBackend:
 
     # -- near-field scan ------------------------------------------------
     def _row_positions(
-        self, rows: np.ndarray, indptr: Optional[np.ndarray] = None
+        self, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """CSR storage positions of ``rows``' entries, concatenated in
-        given row order: ``(positions, per-row lengths)``.  ``indptr``
-        selects another row layout (default: the full near field)."""
-        if indptr is None:
-            indptr = self.indptr
-        starts = indptr[rows]
-        lengths = indptr[rows + 1] - starts
+        given row order: ``(positions, per-row lengths)``."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
         total = int(lengths.sum())
         if total == 0:
             return np.empty(0, dtype=np.int64), lengths
@@ -953,7 +948,10 @@ class SparseGainBackend:
         return pos, lengths
 
     def _near_scan(
-        self, transmitters: np.ndarray, kernel: Optional[str] = None
+        self,
+        transmitters: np.ndarray,
+        kernel: Optional[str] = None,
+        floor: Optional[float] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact near-field totals and strongest near sender.
 
@@ -961,6 +959,9 @@ class SparseGainBackend:
         column, so gathering the transmitters' rows (ascending ``t``)
         enumerates each one's contribution at every near listener.
 
+        :param floor: when given, only entries with ``g >= floor``
+            compete for the strongest sender; a listener with none
+            reports ``(0.0, n)``.  ``total`` still folds every entry.
         :returns: ``(total, best_gain, best_sender)`` per listener;
             ``total`` folds gains in ascending sender order (bincount
             walks the concatenated rows sequentially), matching the
@@ -970,54 +971,37 @@ class SparseGainBackend:
             so its bytes are identical (DESIGN.md §2.3).
         """
         if (kernel or self.kernel) == "compiled":
-            return _kernels.csr_near_scan(
+            total, best_gain, best_sender = _kernels.csr_near_scan(
                 self.indptr, self.indices, self.data,
                 np.asarray(transmitters, dtype=np.int64), self.n,
             )
+            if floor is not None:
+                weak = best_gain < floor
+                best_gain[weak] = 0.0
+                best_sender[weak] = self.n
+            return total, best_gain, best_sender
         pos, lengths = self._row_positions(transmitters)
-        listeners = self.indices[pos].astype(np.int64, copy=False)
-        values = self.data[pos]
-        senders = np.repeat(transmitters, lengths)
+        listeners = self.indices.take(pos)
+        values = self.data.take(pos)
         total = np.bincount(listeners, weights=values, minlength=self.n)
+        kept = None
+        if floor is not None:
+            kept = np.flatnonzero(values >= floor)
+            listeners, values = listeners.take(kept), values.take(kept)
         best_gain = np.zeros(self.n)
         np.maximum.at(best_gain, listeners, values)
+        # Senders only at the winning entries: position -> gathered row.
+        winners = np.flatnonzero(values == best_gain.take(listeners))
+        rows = np.searchsorted(
+            np.cumsum(lengths),
+            winners if kept is None else kept.take(winners),
+            side="right",
+        )
         best_sender = np.full(self.n, self.n, dtype=np.int64)
-        winners = values == best_gain[listeners]
         np.minimum.at(
-            best_sender, listeners[winners], senders[winners]
+            best_sender, listeners.take(winners), transmitters.take(rows)
         )
         return total, best_gain, best_sender
-
-    def _strong_rows(self, noise: float, beta: float) -> tuple:
-        """Strong sub-CSR for ``(noise, beta)``, built on first use.
-
-        Keeps the near entries with ``g >= beta * noise * (1 -
-        STRONG_SLACK)`` — a superset of every decodable entry (DESIGN.md
-        §2.2) — as ``(indptr, listeners, keys, gains)``.  Each entry's
-        ``int64`` key packs ``rank(g) << 32 | (n - 1 - sender)`` with
-        ``gains[rank] == g``, so the largest key at a listener is its
-        strongest sender with ties broken to the lowest index.  One
-        layout is kept per backend, rebuilt when ``(noise, beta)``
-        changes.  Raises :class:`ProtocolError` for a ``beta`` the slack
-        cannot cover.
-        """
-        key = (float(noise), float(beta))
-        if self._strong is None or self._strong[0] != key:
-            if not (8 + beta) * 2.0 ** -52 < STRONG_SLACK:
-                raise ProtocolError(
-                    f"beta {beta} is too large for the strong-entry slack"
-                )
-            threshold = beta * noise * (1.0 - STRONG_SLACK)
-            keep = np.flatnonzero(self.data >= threshold)
-            indptr = np.searchsorted(keep, self.indptr)
-            rows = np.repeat(
-                np.arange(self.n, dtype=self.indices.dtype), np.diff(indptr)
-            )
-            gains, rank = np.unique(self.data[keep], return_inverse=True)
-            keys = rank.astype(np.int64) << 32
-            keys |= self.n - 1 - rows
-            self._strong = (key, indptr, self.indices[keep], keys, gains)
-        return self._strong[1:]
 
     def _receptions(
         self,
@@ -1029,50 +1013,35 @@ class SparseGainBackend:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Eq. (1) decisions of one sorted transmitter set.
 
-        The near total is the exact ascending-sender fold over every
-        gathered entry.  The strongest sender comes from the strong
-        entries only (:meth:`_strong_rows`, one packed ``maximum.at``),
-        and the SINR test runs only at *candidates* — listeners reached
-        by a strong entry.  Any other listener's best gain is below the
-        threshold, so the full-scan test would reject it too: the
-        decisions are bitwise those of deciding every listener from
-        :meth:`_near_scan` (DESIGN.md §2.2).  The compiled kernel keeps
-        its full scan and decides at every listener with a near sender.
+        Only near entries with ``g >= beta * noise * (1 - slack)`` can
+        be decoded, so they alone compete for the strongest sender
+        (:meth:`_near_scan`'s ``floor``), and the SINR test runs only
+        at *candidates* — listeners reached by such an entry.  Any
+        other listener's best gain is below the floor, so deciding it
+        from the full scan would reject it too: the decisions are
+        bitwise those of the full scan for every ``beta`` (DESIGN.md
+        §2.2).  The near total still folds every gathered entry.
 
         :param far_at: ``cand -> (far_estimate, band)`` at the
             candidates, or ``None`` when the far set is empty.
         :returns: ``(receivers, senders)``, receivers ascending.
         """
-        n = self.n
-        if kernel == "compiled":
-            total, gain, sender = self._near_scan(transmitters, kernel)
-            cand = np.flatnonzero(sender < n)
-            total, gain, sender = total[cand], gain[cand], sender[cand]
-        else:
-            pos, _ = self._row_positions(transmitters)
-            total = np.bincount(
-                self.indices.take(pos), weights=self.data.take(pos),
-                minlength=n,
-            )
-            indptr, listeners, keys, gains = self._strong_rows(noise, beta)
-            spos, _ = self._row_positions(transmitters, indptr)
-            best = np.full(n, -1, dtype=np.int64)
-            np.maximum.at(best, listeners.take(spos), keys.take(spos))
-            cand = np.flatnonzero(best >= 0)
-            best = best[cand]
-            total = total[cand]
-            gain = gains[best >> 32]
-            sender = n - 1 - (best & 0xFFFFFFFF)
+        slack = max(STRONG_SLACK, 4 * (8 + beta) * 2.0 ** -52)
+        total, gain, sender = self._near_scan(
+            transmitters, kernel, beta * noise * (1.0 - slack)
+        )
+        cand = np.flatnonzero(sender < self.n)
         if cand.size == 0:
             return cand, cand
-        denom = noise + total - gain
+        gain = gain[cand]
+        denom = noise + total[cand] - gain
         if far_at is not None:
             far, band = far_at(cand)
             denom = denom + far + band
-        is_tx = np.zeros(n, dtype=bool)
+        is_tx = np.zeros(self.n, dtype=bool)
         is_tx[transmitters] = True
-        ok = (np.divide(gain, denom) >= beta) & ~is_tx[cand]
-        return cand[ok], sender[ok]
+        receivers = cand[(np.divide(gain, denom) >= beta) & ~is_tx[cand]]
+        return receivers, sender[receivers]
 
     # -- resolvers -------------------------------------------------------
     def resolve_reception_batch(

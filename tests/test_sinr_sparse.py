@@ -158,9 +158,9 @@ class TestBackendConstruction:
             _backend(coords)
 
 
-class TestStrongRows:
-    """Lifecycle of the lazily built strong sub-CSR (DESIGN.md §2.2),
-    which only the numpy kernel uses."""
+class TestFloorScan:
+    """The strong-entry floor of the near scan (DESIGN.md §2.2) keeps
+    no state: rebuilt and patched backends resolve like fresh ones."""
 
     def _resolved(self):
         coords = _spread_coords(120, 5.0)
@@ -169,31 +169,27 @@ class TestStrongRows:
         heard = backend.resolve_reception_batch(tx, 1.0, 1.0, "numpy")
         return coords, backend, tx, heard
 
-    def test_built_lazily_and_counted(self):
-        backend = _backend(_spread_coords(120, 5.0), cutoff=1.5)
-        assert backend._strong is None
-        backend.resolve_reception_batch(
-            np.zeros((2, 120), bool), 1.0, 1.0, "numpy"
-        )
-        assert backend._strong is None  # silent rounds never build it
-        backend.far_band(np.zeros((1, 120), bool))  # the far kernels
-        before = backend.nbytes()
-        backend.resolve_reception(np.arange(0, 120, 7), 1.0, 1.0, "numpy")
-        key, indptr, listeners, keys, gains = backend._strong
-        assert key == (1.0, 1.0)
-        strong_bytes = sum(
-            a.nbytes for a in (indptr, listeners, keys, gains)
-        )
-        assert backend.nbytes() == before + strong_bytes
-        assert backend.describe()["nbytes"] == backend.nbytes()
-        # the packed keys decode to the strong entries' gains
-        kept = backend.data >= 1.0 - 1e-9
-        assert keys.size == int(kept.sum()) == indptr[-1]
-        assert np.array_equal(gains[keys >> 32], backend.data[kept])
-
-    def test_advanced_starts_without_strong_rows(self):
+    def test_floor_scan_identical_across_kernels(self):
         coords, backend, tx, _ = self._resolved()
-        assert backend._strong is not None
+        transmitters = np.flatnonzero(tx[0])
+        full = backend._near_scan(transmitters, "numpy")
+        for floor in (0.0, 1.0 - 1e-9, float(np.median(backend.data))):
+            scans = [
+                backend._near_scan(transmitters, kernel, floor)
+                for kernel in ("numpy", "compiled")
+            ]
+            for got in scans:
+                for a, b in zip(got, scans[0]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            total, gain, sender = scans[0]
+            assert total.tobytes() == full[0].tobytes()
+            strong = full[1] >= floor
+            assert np.array_equal(gain[strong], full[1][strong])
+            assert np.array_equal(sender[strong], full[2][strong])
+            assert np.all(sender[~strong] == backend.n)
+
+    def test_advanced_matches_fresh_build(self):
+        coords, backend, tx, _ = self._resolved()
         lo, hi = coords.min(axis=0), coords.max(axis=0)
         interior = np.flatnonzero(
             np.all((coords > lo + 0.1) & (coords < hi - 0.1), axis=1)
@@ -205,20 +201,18 @@ class TestStrongRows:
         )
         patched = backend.advanced(new, moved)
         assert patched is not None and patched is not backend
-        assert patched._strong is None
         fresh = _backend(new, cutoff=1.5)
         assert np.array_equal(
             patched.resolve_reception_batch(tx, 1.0, 1.0, "numpy"),
             fresh.resolve_reception_batch(tx, 1.0, 1.0, "numpy"),
         )
 
-    def test_from_arrays_starts_without_strong_rows(self):
+    def test_from_arrays_matches_build(self):
         coords, backend, tx, heard = self._resolved()
         rebuilt = SparseGainBackend.from_arrays(
             coords, PARAMS, backend.channel, 1.5,
             backend.data, backend.indices, backend.indptr,
         )
-        assert rebuilt._strong is None
         assert np.array_equal(
             rebuilt.resolve_reception_batch(tx, 1.0, 1.0, "numpy"), heard
         )
