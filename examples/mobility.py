@@ -21,7 +21,7 @@ from repro import deploy
 from repro.analysis.tables import render_table
 from repro.core import ProtocolConstants
 from repro.deploy.mobility import BrownianDrift, mobility_hook
-from repro.fastsim.wakeup import fast_adhoc_wakeup
+from repro.fastsim.wakeup import fast_adhoc_wakeup_batch
 from repro.sim.wakeup import WakeupSchedule
 
 
@@ -68,10 +68,10 @@ def main() -> None:
             if rate > 0.0
             else None
         )
-        outcome = fast_adhoc_wakeup(
-            net, schedule, constants, np.random.default_rng(3),
+        outcome = fast_adhoc_wakeup_batch(
+            net, schedule, constants, [np.random.default_rng(3)],
             network_hook=hook,
-        )
+        )[0]
         rows.append(
             [
                 f"{rate:.2f}",

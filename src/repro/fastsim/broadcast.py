@@ -5,11 +5,11 @@ Mirrors :mod:`repro.core.broadcast_spont`,
 arrays.  All functions return :class:`~repro.core.outcome.BroadcastOutcome`
 so the experiment harness treats reference and fast runs uniformly.
 
-Every protocol has a batched form (``fast_*_batch``) running ``B``
+Every protocol is one batched kernel (``fast_*_batch``) running ``B``
 replications through :mod:`repro.fastsim.engine` in one set of numpy
-operations; the plain ``fast_*`` functions are the ``B = 1`` case, so a
-batched sweep and a loop of single runs over the same seed-spawned
-generators produce identical per-replication outcomes (DESIGN.md §6).
+operations; a single run is the ``B = 1`` call (``[rng]`` in, ``[0]``
+out), and a ``B``-replication batch equals ``B`` such calls over the
+same seed-spawned generators (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -156,31 +156,6 @@ def fast_spont_broadcast_batch(
     )
 
 
-def fast_spont_broadcast(
-    network: Network,
-    source: int,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_scale: int = 16,
-    tighten_eps: bool = True,
-    network_hook=None,
-    mac_hook=None,
-) -> BroadcastOutcome:
-    """Vectorized ``SBroadcast`` (Theorem 2)."""
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_spont_broadcast_batch(
-        network, source, constants, [rng],
-        round_budget=round_budget, budget_scale=budget_scale,
-        tighten_eps=tighten_eps, network_hook=network_hook,
-        mac_hook=mac_hook,
-    )[0]
-
-
 def fast_nospont_broadcast_batch(
     network: Network,
     source: int,
@@ -257,29 +232,6 @@ def fast_nospont_broadcast_batch(
     )
 
 
-def fast_nospont_broadcast(
-    network: Network,
-    source: int,
-    constants: Optional[ProtocolConstants] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    max_phases: Optional[int] = None,
-    budget_slack: int = 8,
-    network_hook=None,
-    mac_hook=None,
-) -> BroadcastOutcome:
-    """Vectorized ``NoSBroadcast`` (Theorem 1)."""
-    if constants is None:
-        constants = ProtocolConstants.practical()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_nospont_broadcast_batch(
-        network, source, constants, [rng],
-        max_phases=max_phases, budget_slack=budget_slack,
-        network_hook=network_hook, mac_hook=mac_hook,
-    )[0]
-
-
 # ----------------------------------------------------------------------
 # baselines
 # ----------------------------------------------------------------------
@@ -335,27 +287,6 @@ def fast_uniform_broadcast_batch(
     )
 
 
-def fast_uniform_broadcast(
-    network: Network,
-    source: int,
-    q: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_scale: int = 64,
-    network_hook=None,
-    mac_hook=None,
-) -> BroadcastOutcome:
-    """Vectorized fixed-probability flooding (baseline)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_uniform_broadcast_batch(
-        network, source, [rng], q,
-        round_budget=round_budget, budget_scale=budget_scale,
-        network_hook=network_hook, mac_hook=mac_hook,
-    )[0]
-
-
 def fast_decay_broadcast_batch(
     network: Network,
     source: int,
@@ -391,28 +322,6 @@ def fast_decay_broadcast_batch(
     )
 
 
-def fast_decay_broadcast(
-    network: Network,
-    source: int,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    ladder_len: Optional[int] = None,
-    round_budget: Optional[int] = None,
-    budget_scale: int = 96,
-    network_hook=None,
-    mac_hook=None,
-) -> BroadcastOutcome:
-    """Vectorized Decay sweep (the granularity-sensitive baseline)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_decay_broadcast_batch(
-        network, source, [rng],
-        ladder_len=ladder_len, round_budget=round_budget,
-        budget_scale=budget_scale,
-        network_hook=network_hook, mac_hook=mac_hook,
-    )[0]
-
-
 def fast_local_broadcast_global_batch(
     network: Network,
     source: int,
@@ -444,25 +353,3 @@ def fast_local_broadcast_global_batch(
         lambda b: {"max_degree": delta, "phase_length": phase_len},
         network_hook=network_hook, mac_hook=mac_hook,
     )
-
-
-def fast_local_broadcast_global(
-    network: Network,
-    source: int,
-    rng: Optional[np.random.Generator] = None,
-    *,
-    round_budget: Optional[int] = None,
-    budget_slack: int = 8,
-    phase_scale: float = 2.0,
-    network_hook=None,
-    mac_hook=None,
-) -> BroadcastOutcome:
-    """Vectorized local-broadcast composition (``Delta``-paying baseline)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return fast_local_broadcast_global_batch(
-        network, source, [rng],
-        round_budget=round_budget, budget_slack=budget_slack,
-        phase_scale=phase_scale,
-        network_hook=network_hook, mac_hook=mac_hook,
-    )[0]

@@ -33,11 +33,13 @@ payload bytes): :meth:`ResultCache.get` verifies it end-to-end, so a
 torn, truncated or bit-flipped entry — however it got that way — is
 detected, moved aside as ``<key>.quarantine`` for inspection, and
 served as a *miss*; never a crash, and never a silently wrong replay
-(DESIGN.md §10.2).  ``tools/cache_gc.py --verify`` runs the same check
-over a whole directory for fleet cron jobs.  Temp files orphaned by a
-crash (plus stale ``*.lease`` markers from :mod:`repro.distrib.leases`
-and aged ``*.quarantine`` files) are swept by
-:meth:`ResultCache.prune` after a grace window.
+(DESIGN.md §10.2).  Legacy entries without the header are served as
+misses too, never unpickled, and the next ``put`` overwrites them.
+``tools/cache_gc.py --verify`` runs the same check over a whole
+directory for fleet cron jobs.  Temp files orphaned by a crash (plus
+stale ``*.lease`` markers from :mod:`repro.distrib.leases` and aged
+``*.quarantine`` files) are swept by :meth:`ResultCache.prune` after a
+grace window.
 
 That atomicity is also what lets many *hosts* treat one cache directory
 as a **result bus** (DESIGN.md §9): concurrent ``put`` calls for the
@@ -85,7 +87,7 @@ TMP_GRACE_S = 3600.0
 #: Leading bytes of a checksummed cache entry: the magic, one space,
 #: 64 hex chars of SHA-256 over the payload, one newline, then the
 #: pickled payload.  Files without the magic are legacy (pre-checksum)
-#: entries and load unverified.
+#: entries: :meth:`ResultCache.get` serves them as misses, unread.
 ENTRY_MAGIC = b"repro-cache-v2"
 
 #: Clock-skew tolerance for mtime-based decisions in
@@ -168,14 +170,13 @@ def point_key(
     seed,
     n_replications: int,
     kwargs: dict,
-    use_batch: bool = True,
     post_name: str = "",
 ) -> str:
     """Cache key of one grid point — the tuple the ISSUE of record names:
     *(kind, deployment fingerprint, constants, seed, kwargs)*, plus the
-    replication count, the batch/reference switch and the identity of the
-    point's post-processing hook (its extras are stored alongside the
-    sweep, so a renamed hook must not replay stale extras).
+    replication count and the identity of the point's post-processing
+    hook (its extras are stored alongside the sweep, so a renamed hook
+    must not replay stale extras).
 
     The *kernel* choice (``Network(kernel=...)`` / ``REPRO_KERNEL``) is
     deliberately absent, here and in the network fingerprint the key
@@ -193,7 +194,6 @@ def point_key(
             "seed": seed,
             "n_replications": n_replications,
             "kwargs": kwargs,
-            "use_batch": use_batch,
             "post": post_name,
         }
     )
@@ -261,27 +261,23 @@ class ResultCache:
 
     @staticmethod
     def _decode(data: bytes):
-        """Verify and unpickle one entry's raw bytes.
+        """Verify and unpickle one checksummed entry's raw bytes.
 
         :raises ValueError: on a checksum mismatch (torn / truncated /
             bit-flipped entry) or a malformed header.
-        :raises pickle.UnpicklingError: (and friends) when the payload
-            does not unpickle — legacy entries have no checksum to
-            catch corruption first.
+        :raises pickle.UnpicklingError: (and friends) when the verified
+            payload does not unpickle.
         """
-        if data.startswith(ENTRY_MAGIC):
-            header_end = data.index(b"\n", 0, len(ENTRY_MAGIC) + 80)
-            stored = data[len(ENTRY_MAGIC) + 1:header_end]
-            body = memoryview(data)[header_end + 1:]
-            actual = hashlib.sha256(body).hexdigest().encode("ascii")
-            if actual != stored:
-                raise ValueError(
-                    f"checksum mismatch: header {stored!r:.74}, "
-                    f"payload {actual!r}"
-                )
-            return pickle.loads(body)
-        # Legacy (pre-checksum) entry: plain pickle, loaded unverified.
-        return pickle.loads(data)
+        header_end = data.index(b"\n", 0, len(ENTRY_MAGIC) + 80)
+        stored = data[len(ENTRY_MAGIC) + 1:header_end]
+        body = memoryview(data)[header_end + 1:]
+        actual = hashlib.sha256(body).hexdigest().encode("ascii")
+        if actual != stored:
+            raise ValueError(
+                f"checksum mismatch: header {stored!r:.74}, "
+                f"payload {actual!r}"
+            )
+        return pickle.loads(body)
 
     def get(self, key: str) -> Optional[tuple]:
         """Stored ``(sweep, extras)`` payload, or ``None`` on a miss.
@@ -296,6 +292,10 @@ class ResultCache:
         coordinator's bus-recovery probe goes through this method, so a
         foreign daemon's torn publish degrades to a re-dispatch, never
         a consumed corruption (DESIGN.md §10.2).
+
+        A legacy entry (no :data:`ENTRY_MAGIC` header) is a plain miss:
+        it is neither unpickled nor quarantined, and the caller's next
+        :meth:`put` overwrites it with a checksummed entry.
         """
         path = self._path(key)
         if faults.maybe_fire("cache.get.corrupt") is not None:
@@ -303,6 +303,9 @@ class ResultCache:
         try:
             data = path.read_bytes()
         except OSError:
+            self.misses += 1
+            return None
+        if not data.startswith(ENTRY_MAGIC):
             self.misses += 1
             return None
         try:
@@ -406,16 +409,16 @@ class ResultCache:
                 entries += 1
                 try:
                     data = path.read_bytes()
+                    if not data.startswith(ENTRY_MAGIC):
+                        legacy += 1
+                        continue
                     self._decode(data)
                 except (OSError, ValueError, pickle.UnpicklingError,
                         EOFError, AttributeError, ImportError,
                         IndexError, KeyError, MemoryError):
                     corrupt_keys.append(path.stem)
                     continue
-                if data.startswith(ENTRY_MAGIC):
-                    verified += 1
-                else:
-                    legacy += 1
+                verified += 1
             quarantined = sum(
                 1 for _ in self.root.glob(f"*{QUARANTINE_SUFFIX}")
             )

@@ -7,10 +7,11 @@ advance in numpy arrays and each round costs one reception resolution.
 
 The implementation is *batched*: :func:`fast_coloring_batch` runs ``B``
 independent replications (one seed-spawned generator each) through the
-deterministic schedule at once, and :func:`fast_coloring` is the ``B = 1``
-special case.  Per-replication state lives in ``(B, n)`` arrays and no
-operation mixes rows, so each replication's outputs are bitwise identical
-to a standalone run with the same generator (DESIGN.md §6).
+deterministic schedule at once; a single run is the ``B = 1`` call
+(``fast_coloring_batch(..., [rng]).replication(0)``).  Per-replication
+state lives in ``(B, n)`` arrays and no operation mixes rows, so each
+replication's outputs are bitwise identical to a ``B = 1`` call with the
+same generator (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -241,42 +242,3 @@ def fast_coloring_batch(
         rounds=schedule.total_rounds,
         schedule=schedule,
     )
-
-
-def fast_coloring(
-    network: Network,
-    constants: ProtocolConstants,
-    rng: np.random.Generator,
-    participants: Optional[np.ndarray] = None,
-    informed: Optional[np.ndarray] = None,
-    informed_round: Optional[np.ndarray] = None,
-    round_offset: int = 0,
-    mac_hook=None,
-) -> FastColoringResult:
-    """Run one ``StabilizeProbability`` execution, vectorized.
-
-    The ``B = 1`` case of :func:`fast_coloring_batch`; see there for the
-    parameter semantics (``informed``/``informed_round`` are length-``n``
-    arrays here, still updated in place).
-    """
-    n = network.size
-    if participants is not None:
-        participants = np.asarray(participants, dtype=bool)
-        if participants.shape != (n,):
-            raise ProtocolError(
-                f"participants mask must have shape ({n},)"
-            )
-        participants = participants[None, :]
-    batch = fast_coloring_batch(
-        network,
-        constants,
-        [rng],
-        participants=participants,
-        informed=None if informed is None else informed[None, :],
-        informed_round=(
-            None if informed_round is None else informed_round[None, :]
-        ),
-        round_offset=round_offset,
-        mac_hook=mac_hook,
-    )
-    return batch.replication(0)

@@ -19,9 +19,9 @@ operations.  This module holds the shared machinery:
 The equivalence contract (DESIGN.md §6): every replication's arithmetic
 involves only its own ``(n,)`` slice — reductions run along station axes,
 never across the batch — so outputs are bitwise independent of the batch
-size.  The single-instance ``fast_*`` functions are the ``B = 1`` special
-case of the batched kernels, which makes "batched sweep == loop of
-single runs" an identity checked by the hypothesis suite, not a tolerance.
+size.  A single run is the ``B = 1`` call of the same kernel, which makes
+"a ``B``-replication batch == ``B`` calls at ``B = 1``" an identity
+checked by the hypothesis suite, not a tolerance.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def draw_block(
 
     Inactive replications consume no randomness (their slots are filled
     with :data:`NO_DRAW`), keeping each generator's stream aligned with a
-    single-instance run that skipped the same block.
+    ``B = 1`` run that skipped the same block.
 
     :returns: ``(B, rounds, n)`` array of draws.
     """

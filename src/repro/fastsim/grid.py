@@ -40,7 +40,7 @@ declared as data (:class:`GridSpec`) and executed by :func:`run_grid`:
   ``identity()`` participates in the cache key — so ``jobs=N`` stays
   bitwise equal to ``jobs=1`` for dynamic sweeps and dynamic results
   never collide with static ones.
-* **service execution** — ``run_grid(service="unix:/path.sock")``
+* **service execution** — ``run_grid(workers=["unix:/path.sock"])``
   dispatches pending points as ``sweep`` requests to a resident-network
   query service (:mod:`repro.service`, DESIGN.md §8) instead of forking
   a pool: deployments stay hot in the daemon's pool across grid runs
@@ -58,9 +58,9 @@ declared as data (:class:`GridSpec`) and executed by :func:`run_grid`:
   cache as the result bus, with per-request timeouts, straggler
   re-dispatch guarded by worker-side lease files, reconnect with
   backoff, and transparent fallback of orphaned points to the local
-  pool.  ``service=addr`` is exactly ``workers=[addr]``.  Seeds are
-  fixed at preparation time, so placement cannot change results:
-  ``workers=N`` output is bitwise identical to ``jobs=1``.
+  pool.  Seeds are fixed at preparation time, so placement cannot
+  change results: ``workers=N`` output is bitwise identical to
+  ``jobs=1``.
 
 DESIGN.md §6.3 records the contracts; ``benchmarks/bench_grid.py`` tracks
 the speedup and asserts parallel/serial result identity.
@@ -130,7 +130,6 @@ class GridPoint:
         discipline of the first such point), one fingerprint and one
         shared-memory segment — e.g. several protocols compared on the
         same random network.
-    :param use_batch: forwarded to ``run_sweep``.
     """
 
     kind: str
@@ -142,7 +141,6 @@ class GridPoint:
     post: Optional[Callable[[Network, SweepResult], dict]] = None
     seed: Optional[int] = None
     share_deployment: Optional[str] = None
-    use_batch: bool = True
 
 
 @dataclass
@@ -179,15 +177,10 @@ class GridOptions:
 
     :param jobs: worker processes (``<= 1`` = run in-process).
     :param cache_dir: result-cache directory (``None`` = caching off).
-    :param service: resident-network service address
-        (``"unix:<path>"`` / ``"tcp:<host>:<port>"``); when set,
-        pending points are dispatched to the daemon's resident pool
-        instead of a fork pool and ``jobs`` is ignored (shorthand for
-        a single-entry ``workers`` list).
-    :param workers: addresses of several :mod:`repro.service` daemons
-        (one per host); pending points are sharded across them through
-        the cache result bus (DESIGN.md §9).  Takes precedence over
-        ``service``.
+    :param workers: addresses of :mod:`repro.service` daemons
+        (``"unix:<path>"`` / ``"tcp:<host>:<port>"``, one per host);
+        pending points are sharded across them through the cache result
+        bus (DESIGN.md §9) instead of a fork pool.
     :param request_timeout: per-request timeout in seconds for
         service/worker dispatch (``None`` = the client default,
         :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).
@@ -198,7 +191,6 @@ class GridOptions:
 
     jobs: int = 1
     cache_dir: Optional[str] = None
-    service: Optional[str] = None
     workers: Optional[list] = None
     request_timeout: Optional[float] = None
     resume: bool = False
@@ -298,7 +290,6 @@ def _prepare(spec: GridSpec) -> tuple[list[_Prepared], list[Network]]:
             seed=prep.seed,
             n_replications=prep.point.n_replications,
             kwargs=prep.kwargs,
-            use_batch=prep.point.use_batch,
             post_name=_post_name(prep.point.post),
         )
     return prepared, deployments
@@ -312,7 +303,6 @@ def _execute(prep: _Prepared, network: Network) -> tuple[SweepResult, dict]:
         prep.point.n_replications,
         prep.seed,
         prep.point.constants,
-        use_batch=prep.point.use_batch,
         **prep.kwargs,
     )
     extras = prep.point.post(network, sweep) if prep.point.post else {}
@@ -473,7 +463,6 @@ def run_grid(
     jobs: Optional[int] = None,
     cache_dir: "Optional[str | os.PathLike]" = None,
     cache: Optional[bool] = None,
-    service: Optional[str] = None,
     workers: Optional[Sequence[str]] = None,
     request_timeout: Optional[float] = None,
     resume: Optional[bool] = None,
@@ -484,18 +473,17 @@ def run_grid(
     :func:`set_default_grid_options`); pass ``cache=False`` to bypass a
     configured cache for one call.  Execution is result-identical across
     ``jobs`` values, cache states and execution backends (fork pool,
-    ``service=``, ``workers=``): seeds are fixed at preparation time and
-    cached payloads are the pickled originals.
+    ``workers=``): seeds are fixed at preparation time and cached
+    payloads are the pickled originals.
 
-    ``service`` names a running :mod:`repro.service` daemon
+    ``workers`` names running :mod:`repro.service` daemons
     (``"unix:<path>"`` / ``"tcp:<host>:<port>"``): pending points are
-    sent as concurrent ``sweep`` requests against its resident-network
-    pool — bitwise identical to fork execution, with deployments kept
-    hot across runs (DESIGN.md §8).  ``workers`` generalizes this to a
-    list of daemons on several hosts, sharded through the cache result
+    sent as concurrent ``sweep`` requests against their resident-network
+    pools — bitwise identical to fork execution, with deployments kept
+    hot across runs (DESIGN.md §8) — sharded through the cache result
     bus with fault-tolerant dispatch (DESIGN.md §9); points that
     outlive every worker fall back to the local pool transparently.
-    Both paths drive their own asyncio event loop, so they must not be
+    The dispatch drives its own asyncio event loop, so it must not be
     called from inside one.
 
     **Crash safety** (DESIGN.md §10.1): with a cache configured, every
@@ -515,7 +503,6 @@ def run_grid(
     options = get_default_grid_options()
     jobs = options.jobs if jobs is None else jobs
     cache_dir = options.cache_dir if cache_dir is None else cache_dir
-    service = options.service if service is None else service
     workers = options.workers if workers is None else workers
     request_timeout = (
         options.request_timeout
@@ -602,16 +589,13 @@ def run_grid(
                 journal_appends += 1
 
     n_uncached = len(pending)
-    addresses = list(workers) if workers else (
-        [service] if service is not None else []
-    )
     with _interruptible_sigterm():
-        if pending and addresses:
+        if pending and workers:
             # Remote dispatch never raises on point failures: whatever
             # could not be completed remotely comes back and runs
             # locally.
             pending = _run_service(
-                prepared, pending, addresses, on_result=finish,
+                prepared, pending, list(workers), on_result=finish,
                 store=store, request_timeout=request_timeout,
                 grid_name=spec.name,
             )
@@ -796,8 +780,8 @@ def _run_service(
     """Shard pending points across :mod:`repro.service` daemons.
 
     One dispatch task per address pulls points from a shared queue
-    (:func:`repro.distrib.shard.run_sharded`): a single address is the
-    classic ``service=`` path, several are a multi-host sweep.  Each
+    (:func:`repro.distrib.shard.run_sharded`): a single address is one
+    resident daemon, several are a multi-host sweep.  Each
     request carries both the deployment's fingerprint (a pool hit skips
     the rebuild entirely — the cross-run win) and its full descriptor
     (so an evicted or never-seen deployment is rebuilt server-side,
@@ -831,7 +815,6 @@ def _run_service(
             seed=prep.seed,
             constants=prep.point.constants,
             kwargs=prep.kwargs,
-            use_batch=prep.point.use_batch,
             fingerprint=prep.network.fingerprint(),
             descriptor=_service_descriptor(prep.network),
             key=(prep.key or None) if prep.point.post is None else None,

@@ -21,7 +21,7 @@ kernel's batch efficiency instead of per-request Python overhead
 (``benchmarks/bench_service.py`` gates the floor).
 
 Grid sweeps become clients of the same pool through
-``run_grid(service=...)`` (:mod:`repro.fastsim.grid`), and sweep
+``run_grid(workers=[...])`` (:mod:`repro.fastsim.grid`), and sweep
 results flow through the ordinary content-addressed result cache, whose
 keys are shared with CLI runs by construction.
 """

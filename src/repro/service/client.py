@@ -256,7 +256,6 @@ class ServiceClient:
         descriptor: Optional[dict] = None,
         constants=None,
         kwargs: Optional[dict] = None,
-        use_batch: bool = True,
         key: Optional[str] = None,
         timeout: object = _USE_DEFAULT,
     ) -> dict:
@@ -278,7 +277,6 @@ class ServiceClient:
             "seed": seed,
             "constants": constants,
             "kwargs": kwargs or {},
-            "use_batch": use_batch,
             "key": key,
         }
         reply = await self.request(

@@ -26,7 +26,7 @@ Supported ops — see :meth:`ServiceServer.handlers`:
     patching where applicable), successor admitted to the pool.
 ``sweep``
     Run a full protocol sweep on a resident network (pickle payload;
-    the ``run_grid(service=...)`` execution path, DESIGN.md §8).
+    the ``run_grid(workers=[...])`` execution path, DESIGN.md §8).
 ``stats`` / ``ping`` / ``shutdown``
     Introspection and lifecycle.
 """
@@ -619,7 +619,6 @@ class ServiceServer:
                 payload["n_replications"],
                 payload["seed"],
                 payload.get("constants"),
-                use_batch=payload.get("use_batch", True),
                 **payload.get("kwargs", {}),
             )
             if key and self.cache is not None:
@@ -692,8 +691,8 @@ class ServiceServer:
         Mirrors the fork worker's reconstruction
         (:func:`repro.fastsim.grid._attach_network`): same coordinates,
         params, metric and channel produce a bitwise-identical gain
-        structure, which is what makes ``run_grid(service=...)`` results
-        bitwise equal to fork-pool runs.
+        structure, which is what makes ``run_grid(workers=[...])``
+        results bitwise equal to fork-pool runs.
         """
         net = Network(
             descriptor["coords"],

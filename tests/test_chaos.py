@@ -304,6 +304,24 @@ class TestCacheFaults:
         assert cache.quarantined == 1
         assert cache.get("k") is None  # quarantined, stays a miss
 
+    def test_legacy_entry_is_a_miss_never_unpickled(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        marker = tmp_path / "unpickled"
+
+        class _Trap:
+            def __reduce__(self):
+                return (os.mkdir, (str(marker),))
+
+        # A pre-checksum entry: plain pickle, no header.
+        cache._path("k").write_bytes(pickle.dumps(_Trap()))
+        assert cache.get("k") is None
+        assert cache.misses == 1 and cache.quarantined == 0
+        assert not marker.exists()
+        # The next put overwrites it with a checksummed entry.
+        cache.put("k", ("payload", {}))
+        assert cache.get("k") == ("payload", {})
+        assert cache.hits == 1
+
     def test_verify_distinguishes_corrupt_from_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("good", ("v", {}))

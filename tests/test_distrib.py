@@ -386,11 +386,11 @@ class TestShardedGrid:
         _assert_same_results(serial, replay)
 
     def test_single_service_address_still_works(self):
-        # `service=addr` is now sugar for `workers=[addr]`; the classic
-        # path must keep its exact semantics.
+        # One daemon is the single-entry worker list; it must keep the
+        # exact semantics of fork execution.
         serial = run_grid(_spec(), jobs=1)
         with _server_thread() as address:
-            served = run_grid(_spec(), service=address)
+            served = run_grid(_spec(), workers=[address])
         _assert_same_results(serial, served)
 
     def test_dead_address_among_workers_is_survived(self):
@@ -454,7 +454,7 @@ class TestRunSharded:
     def test_empty_addresses_leaves_everything(self):
         req = PointRequest(
             index=0, kind="spont_broadcast", n_replications=1, seed=1,
-            constants=None, kwargs={}, use_batch=True,
+            constants=None, kwargs={},
             fingerprint="fp", descriptor={},
         )
         stats = run_sharded([req], [], on_sweep=lambda i, s: None)
@@ -468,7 +468,7 @@ class TestRunSharded:
         cache.put("k0", ("payload", {}))
         req = PointRequest(
             index=0, kind="spont_broadcast", n_replications=1, seed=1,
-            constants=None, kwargs={}, use_batch=True,
+            constants=None, kwargs={},
             fingerprint="fp", descriptor={}, key="k0",
         )
         got: dict = {}

@@ -2,7 +2,7 @@
 
 The exact-equality contract (DESIGN.md §6): for *any* small network,
 batch size and master seed, the batched sweep's per-replication outputs
-equal a Python loop of single-instance fast runs over the same spawned
+equal a Python loop of ``B = 1`` kernel calls over the same spawned
 generators — bitwise, not statistically.  Replication independence is
 what the property exercises: any state leaking across the batch axis
 (shared counters, wrong masking, cross-replication reductions that
@@ -14,13 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.constants import ProtocolConstants
 from repro.fastsim import (
-    fast_coloring,
-    fast_coloring_batch,
-    fast_colored_wakeup,
     fast_colored_wakeup_batch,
-    fast_consensus,
-    fast_spont_broadcast,
-    fast_uniform_broadcast,
+    fast_coloring_batch,
+    fast_consensus_batch,
+    fast_spont_broadcast_batch,
+    fast_uniform_broadcast_batch,
     run_sweep,
     spawn_rngs,
 )
@@ -82,7 +80,7 @@ class TestSweepExactEquality:
         rngs = spawn_rngs(batch, seed)
         result = fast_coloring_batch(net, CONSTANTS, rngs)
         for b, rng in enumerate(spawn_rngs(batch, seed)):
-            single = fast_coloring(net, CONSTANTS, rng)
+            single = fast_coloring_batch(net, CONSTANTS, [rng]).replication(0)
             assert np.array_equal(result.quit_levels[b], single.quit_levels)
             assert np.allclose(
                 result.colors[b], single.colors, equal_nan=True
@@ -99,7 +97,7 @@ class TestSweepExactEquality:
             "spont_broadcast", net, batch, seed, CONSTANTS, source=0
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
-            single = fast_spont_broadcast(net, 0, CONSTANTS, rng)
+            single = fast_spont_broadcast_batch(net, 0, CONSTANTS, [rng])[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
             assert out.success == single.success
@@ -117,7 +115,7 @@ class TestSweepExactEquality:
             "spont_broadcast", net, batch, seed, CONSTANTS, source=0
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
-            single = fast_spont_broadcast(net, 0, CONSTANTS, rng)
+            single = fast_spont_broadcast_batch(net, 0, CONSTANTS, [rng])[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
             assert out.success == single.success
@@ -132,7 +130,7 @@ class TestSweepExactEquality:
         rngs = spawn_rngs(batch, seed)
         result = fast_coloring_batch(net, CONSTANTS, rngs)
         for b, rng in enumerate(spawn_rngs(batch, seed)):
-            single = fast_coloring(net, CONSTANTS, rng)
+            single = fast_coloring_batch(net, CONSTANTS, [rng]).replication(0)
             assert np.array_equal(result.quit_levels[b], single.quit_levels)
             assert np.allclose(
                 result.colors[b], single.colors, equal_nan=True
@@ -150,7 +148,7 @@ class TestSweepExactEquality:
             "uniform_broadcast", net, batch, seed, q=q, source=0
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
-            single = fast_uniform_broadcast(net, 0, q=q, rng=rng)
+            single = fast_uniform_broadcast_batch(net, 0, [rng], q=q)[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
 
@@ -166,7 +164,9 @@ class TestSweepExactEquality:
             net, [0], base, CONSTANTS, spawn_rngs(batch, seed)
         )
         for out, rng in zip(outs, spawn_rngs(batch, seed)):
-            single = fast_colored_wakeup(net, [0], base, CONSTANTS, rng)
+            single = fast_colored_wakeup_batch(
+                net, [0], base, CONSTANTS, [rng]
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
 
@@ -183,9 +183,9 @@ class TestSweepExactEquality:
         )
         for res, rng in zip(sweep.outcomes, spawn_rngs(batch, seed)):
             values = rng.integers(0, x_max + 1, size=net.size)
-            single = fast_consensus(
-                net, values.tolist(), x_max, CONSTANTS, rng
-            )
+            single = fast_consensus_batch(
+                net, values.tolist(), x_max, CONSTANTS, [rng]
+            )[0]
             assert np.array_equal(res.decided, single.decided)
             assert res.total_rounds == single.total_rounds
             assert res.rounds_per_bit == single.rounds_per_bit

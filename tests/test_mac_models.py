@@ -11,7 +11,7 @@ The contracts pinned here, per DESIGN.md §11:
   interference graph: no two interference-adjacent stations share a
   slot.
 * **Batched == sequential** — a batched sweep under any MAC equals a
-  sequential loop of single-instance runs with fresh hooks (round-keyed
+  sequential loop of ``B = 1`` runs with fresh hooks (round-keyed
   arbitration makes this exact, not statistical).
 * **Cache-key separation** — ``mac=`` kwargs land in grid point keys
   through the model's ``identity()``; no MAC can replay a bare sweep's
@@ -28,9 +28,9 @@ import pytest
 from repro.core.constants import ProtocolConstants
 from repro.errors import ProtocolError
 from repro.fastsim import run_sweep, spawn_rngs
-from repro.fastsim.broadcast import fast_spont_broadcast
+from repro.fastsim.broadcast import fast_spont_broadcast_batch
 from repro.fastsim.cache import fingerprint_bytes, point_key
-from repro.fastsim.coloring import fast_coloring
+from repro.fastsim.coloring import fast_coloring_batch
 from repro.mac import (
     CSMA,
     MacModel,
@@ -372,9 +372,9 @@ class TestAlohaAnchor:
                    schedule=schedule)
 
     def test_colored_wakeup(self, small_chain, constants):
-        colors = fast_coloring(
-            small_chain, constants, np.random.default_rng(5)
-        ).colors
+        colors = fast_coloring_batch(
+            small_chain, constants, [np.random.default_rng(5)]
+        ).replication(0).colors
         self._pair(
             "colored_wakeup", small_chain, constants,
             initiators=[0], base_colors=np.nan_to_num(colors),
@@ -405,9 +405,9 @@ class TestBatchedEqualsSequential:
             constants, source=0, mac=model,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_spont_broadcast(
-                small_square, 0, constants, rng, mac_hook=mac_hook(model)
-            )
+            single = fast_spont_broadcast_batch(
+                small_square, 0, constants, [rng], mac_hook=mac_hook(model)
+            )[0]
             assert np.array_equal(
                 out.informed_round, single.informed_round
             )
@@ -459,13 +459,6 @@ class TestHookContract:
 
 
 class TestSweepIntegration:
-    def test_mac_requires_batched_kernel(self, small_chain):
-        with pytest.raises(ProtocolError):
-            run_sweep(
-                "leader_election", small_chain, 1, seed=1,
-                mac=CSMA(), use_batch=False,
-            )
-
     def test_cache_keys_split_bare_and_models(self, small_square):
         def key(kwargs):
             return point_key(

@@ -13,7 +13,7 @@ The load-bearing claims, each pinned here:
 * **The result cache is shared** — a sweep computed through the service
   replays in a plain CLI ``run_grid`` (and vice versa) because both
   address the same :func:`repro.fastsim.cache.point_key`.
-* **``run_grid(service=...)`` is an execution backend** — results are
+* **``run_grid(workers=[addr])`` is an execution backend** — results are
   bitwise equal to the fork pool's.
 
 Async tests drive an in-process server over loopback TCP inside
@@ -625,7 +625,7 @@ class TestSweepAndGrid:
     def test_grid_service_matches_fork_pool(self):
         forked = run_grid(_spec(), jobs=2)
         with _server_thread() as address:
-            served = run_grid(_spec(), service=address)
+            served = run_grid(_spec(), workers=[address])
         _assert_same_results(forked, served)
         assert not any(r.cached for r in served)
 
@@ -634,7 +634,7 @@ class TestSweepAndGrid:
         # store a plain CLI run replays from.
         with _server_thread() as address:
             served = run_grid(
-                _spec(), service=address, cache_dir=str(tmp_path)
+                _spec(), workers=[address], cache_dir=str(tmp_path)
             )
         replay = run_grid(_spec(), jobs=1, cache_dir=str(tmp_path))
         assert all(r.cached for r in replay)
@@ -645,7 +645,7 @@ class TestSweepAndGrid:
         # the ordinary point_key, so a CLI run against the same directory
         # replays them without recomputing.
         with _server_thread(cache_dir=str(tmp_path)) as address:
-            served = run_grid(_spec(), service=address, cache=False)
+            served = run_grid(_spec(), workers=[address], cache=False)
         hookless = [
             r for r in run_grid(_spec(), jobs=1, cache_dir=str(tmp_path))
             if r.point.post is None
@@ -662,8 +662,8 @@ class TestSweepAndGrid:
         # The cross-run win: a second service-backed run of the same spec
         # finds every deployment already resident.
         with _server_thread() as address:
-            run_grid(_spec(), service=address)
-            run_grid(_spec(), service=address)
+            run_grid(_spec(), workers=[address])
+            run_grid(_spec(), workers=[address])
 
             async def poolstats():
                 client = await connect(address)

@@ -6,18 +6,17 @@ import pytest
 from repro.core.constants import ProtocolConstants
 from repro.errors import ProtocolError
 from repro.fastsim import (
-    fast_consensus,
-    fast_coloring,
-    fast_leader_election,
-    fast_nospont_broadcast,
-    fast_spont_broadcast,
-    fast_uniform_broadcast,
-    fast_wakeup,
+    fast_adhoc_wakeup_batch,
+    fast_coloring_batch,
+    fast_consensus_batch,
+    fast_leader_election_batch,
+    fast_nospont_broadcast_batch,
+    fast_spont_broadcast_batch,
+    fast_uniform_broadcast_batch,
     run_sweep,
     spawn_rngs,
     sweep_kinds,
 )
-from repro.fastsim.sweep import SWEEP_KINDS
 from repro.sim.wakeup import WakeupSchedule
 
 
@@ -61,7 +60,6 @@ class TestRunSweepDispatch:
         assert result.n_replications == 3
         assert result.kind == "spont_broadcast"
         assert result.seed == 7
-        assert result.batched
         assert len(result.outcomes) == 3
         assert result.rounds.shape == (3,)
         assert 0.0 <= result.success_rate() <= 1.0
@@ -84,22 +82,6 @@ class TestRunSweepDispatch:
             == constants.coloring_total_rounds(small_square.size)
         )
 
-    def test_reference_fallback(self, small_square, constants):
-        schedule = WakeupSchedule.single(small_square.size, 0)
-        result = run_sweep(
-            "adhoc_wakeup", small_square, 2, 5, constants,
-            schedule=schedule, use_batch=False,
-        )
-        assert not result.batched
-        assert result.success.all()
-
-    def test_fallback_requires_reference(self, small_square, constants):
-        assert SWEEP_KINDS["coloring"].reference is None
-        with pytest.raises(ProtocolError):
-            run_sweep(
-                "coloring", small_square, 2, 5, constants, use_batch=False
-            )
-
 
 class TestSweepEqualsSequentialLoop:
     """Spot checks of the exact-equality contract (hypothesis tests in
@@ -114,7 +96,9 @@ class TestSweepEqualsSequentialLoop:
             constants, source=0,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_spont_broadcast(small_square, 0, constants, rng)
+            single = fast_spont_broadcast_batch(
+                small_square, 0, constants, [rng]
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
             assert out.success == single.success
@@ -127,7 +111,9 @@ class TestSweepEqualsSequentialLoop:
             constants, source=0,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_nospont_broadcast(small_chain, 0, constants, rng)
+            single = fast_nospont_broadcast_batch(
+                small_chain, 0, constants, [rng]
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
             assert out.extras["phases_used"] == single.extras["phases_used"]
@@ -138,14 +124,18 @@ class TestSweepEqualsSequentialLoop:
             q=0.3, source=0,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_uniform_broadcast(small_chain, 0, q=0.3, rng=rng)
+            single = fast_uniform_broadcast_batch(
+                small_chain, 0, [rng], q=0.3
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
 
     def test_coloring(self, small_square, constants):
         sweep = run_sweep("coloring", small_square, self.B, self.SEED,
                           constants)
         for res, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_coloring(small_square, constants, rng)
+            single = fast_coloring_batch(
+                small_square, constants, [rng]
+            ).replication(0)
             assert np.array_equal(res.quit_levels, single.quit_levels)
             assert np.allclose(res.colors, single.colors, equal_nan=True)
 
@@ -159,7 +149,9 @@ class TestSweepEqualsSequentialLoop:
             schedule=schedule,
         )
         for out, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_wakeup(small_chain, schedule, constants, rng)
+            single = fast_adhoc_wakeup_batch(
+                small_chain, schedule, constants, [rng]
+            )[0]
             assert np.array_equal(out.informed_round, single.informed_round)
             assert out.total_rounds == single.total_rounds
 
@@ -172,9 +164,9 @@ class TestSweepEqualsSequentialLoop:
         )
         for res, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
             values = rng.integers(0, x_max + 1, size=small_chain.size)
-            single = fast_consensus(
-                small_chain, values.tolist(), x_max, constants, rng
-            )
+            single = fast_consensus_batch(
+                small_chain, values, x_max, constants, [rng]
+            )[0]
             assert np.array_equal(res.decided, single.decided)
             assert res.total_rounds == single.total_rounds
             assert res.rounds_per_bit == single.rounds_per_bit
@@ -185,7 +177,9 @@ class TestSweepEqualsSequentialLoop:
             "leader_election", small_chain, self.B, self.SEED, constants
         )
         for res, rng in zip(sweep.outcomes, spawn_rngs(self.B, self.SEED)):
-            single = fast_leader_election(small_chain, constants, rng)
+            single = fast_leader_election_batch(
+                small_chain, constants, [rng]
+            )[0]
             assert res.leader == single.leader
             assert np.array_equal(res.ids, single.ids)
             assert res.total_rounds == single.total_rounds
