@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.core.constants import ProtocolConstants
 from repro.deploy import uniform_square
-from repro.fastsim import GridPoint, GridSpec, run_grid
+from repro.fastsim import GridPoint, GridSpec, grid_stats, run_grid
 from repro.fastsim.cache import ResultCache
 from repro.fastsim.journal import JOURNAL_SUFFIX
 from repro.faults import FaultPlan, FaultRule
@@ -187,7 +187,7 @@ def test_chaos_soak_kill_resume_identity(benchmark, tmp_path, capsys):
     identity with a fault-free run."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        reference = run_grid(_spec(), jobs=1, cache=False)
+        reference = run_grid(_spec(), jobs=1)
     ref_digests = _digests(reference)
 
     resumed = benchmark.pedantic(
@@ -261,9 +261,7 @@ def _child_coordinator(bus_dir, addresses, plan_path, resume_flag):
             cache_dir=bus_dir, resume=resume,
             request_timeout=REQUEST_TIMEOUT,
         )
-    from repro.fastsim.grid import last_grid_stats
-
-    payload = {"stats": last_grid_stats(), "digests": _digests(results)}
+    payload = {"stats": grid_stats(results), "digests": _digests(results)}
     print("RESULT " + json.dumps(payload), flush=True)
     return 0
 

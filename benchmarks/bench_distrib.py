@@ -119,7 +119,7 @@ def _assert_same_results(a, b):
 
 def test_sharded_identity(benchmark, tmp_path, capsys):
     """``workers=2`` output is bitwise identical to ``jobs=1``."""
-    serial = run_grid(_spec(), jobs=1, cache=False)
+    serial = run_grid(_spec(), jobs=1)
     results = benchmark.pedantic(
         lambda: _cold_sharded_run(WORKERS, tmp_path / "cold")[0],
         rounds=1, iterations=1,

@@ -60,7 +60,7 @@ def _assert_complete(results):
 
 def test_grid_serial(benchmark):
     results = benchmark.pedantic(
-        lambda: run_grid(_spec(), jobs=1, cache=False),
+        lambda: run_grid(_spec(), jobs=1),
         rounds=1, iterations=1,
     )
     _assert_complete(results)
@@ -68,7 +68,7 @@ def test_grid_serial(benchmark):
 
 def test_grid_parallel(benchmark):
     results = benchmark.pedantic(
-        lambda: run_grid(_spec(), jobs=JOBS, cache=False),
+        lambda: run_grid(_spec(), jobs=JOBS),
         rounds=1, iterations=1,
     )
     _assert_complete(results)
@@ -86,8 +86,8 @@ def test_grid_cache_replay(benchmark, tmp_path):
 
 def test_parallel_bitwise_identical_to_serial():
     """Acceptance criterion: jobs=4 and jobs=1 agree bit for bit."""
-    serial = run_grid(_spec(), jobs=1, cache=False)
-    parallel = run_grid(_spec(), jobs=JOBS, cache=False)
+    serial = run_grid(_spec(), jobs=1)
+    parallel = run_grid(_spec(), jobs=JOBS)
     for s, p in zip(serial, parallel):
         assert np.array_equal(s.sweep.rounds, p.sweep.rounds, equal_nan=True)
         assert np.array_equal(s.sweep.success, p.sweep.success)
@@ -103,14 +103,14 @@ def test_parallel_at_least_3x_faster_than_serial():
     """Acceptance criterion: >= 3x wall-clock at 4 workers on >= 8 points."""
     # One throwaway parallel run first: fork-pool startup, numpy caches
     # and page-cache effects land outside the timed region.
-    run_grid(_spec(), jobs=JOBS, cache=False)
+    run_grid(_spec(), jobs=JOBS)
 
     t0 = time.perf_counter()
-    run_grid(_spec(), jobs=1, cache=False)
+    run_grid(_spec(), jobs=1)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    run_grid(_spec(), jobs=JOBS, cache=False)
+    run_grid(_spec(), jobs=JOBS)
     parallel_s = time.perf_counter() - t0
 
     speedup = serial_s / parallel_s

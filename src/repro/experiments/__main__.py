@@ -63,20 +63,6 @@ def main(argv: list[str] | None = None) -> int:
             "drop --no-cache"
         )
 
-    from repro.fastsim.grid import (
-        GridOptions,
-        last_grid_stats,
-        set_default_grid_options,
-    )
-
-    set_default_grid_options(
-        GridOptions(
-            jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            resume=args.resume,
-        )
-    )
-
     ids = list_experiments() if args.experiment.lower() == "all" else [
         args.experiment
     ]
@@ -84,13 +70,17 @@ def main(argv: list[str] | None = None) -> int:
     for exp_id in ids:
         run = get_experiment(exp_id)
         started = time.perf_counter()
-        report = run(scale=args.scale, seed=args.seed)
+        report = run(
+            scale=args.scale, seed=args.seed, jobs=args.jobs,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            resume=args.resume,
+        )
         elapsed = time.perf_counter() - started
         reports.append(report)
         print(report.render())
         timing = f"({elapsed:.1f}s"
-        stats = last_grid_stats()
-        if stats["cached"]:
+        stats = report.grid
+        if stats.get("cached"):
             # Cache keys cover inputs, not code — a full replay after a
             # simulation-code change is stale; surface it every run.
             timing += (

@@ -35,6 +35,9 @@ class ExperimentReport:
     :param metrics: machine-readable key results (asserted by tests and
         summarized in EXPERIMENTS.md).
     :param notes: free-form caveats / fit summaries.
+    :param grid: :func:`repro.fastsim.grid.grid_stats` of the
+        experiment's grid run — what it replayed from cache or journal.
+        Run bookkeeping, not a result: never rendered.
     """
 
     exp_id: str
@@ -44,6 +47,7 @@ class ExperimentReport:
     rows: list[list[object]] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    grid: dict = field(default_factory=dict)
 
     def render(self) -> str:
         """Full plain-text report."""
@@ -70,14 +74,15 @@ def trial_rngs(
         yield np.random.default_rng(child)
 
 
-def run_grid_points(points, seed: int, name: str):
+def run_grid_points(points, seed: int, name: str, **grid):
     """Execute experiment points through the grid orchestrator.
 
     The grid counterpart of :func:`sweep_trials`: the experiment declares
     its parameter points as :class:`repro.fastsim.grid.GridPoint` entries
     and this helper runs them through
-    :func:`repro.fastsim.grid.run_grid`, inheriting the process-wide
-    execution options (``--jobs``, ``--cache-dir``) the CLI installed.
+    :func:`repro.fastsim.grid.run_grid`, passing ``grid`` — the execution
+    options (``jobs``, ``cache_dir``, ``resume``, ...) the experiment's
+    ``run`` was called with — through unchanged.
     Per-point seeds are spawned from ``seed`` unless a point pins one, so
     no two points ever share (or arithmetically collide into) a seed.
 
@@ -86,7 +91,9 @@ def run_grid_points(points, seed: int, name: str):
     """
     from repro.fastsim.grid import GridSpec, run_grid
 
-    return run_grid(GridSpec(points=list(points), seed=seed, name=name))
+    return run_grid(
+        GridSpec(points=list(points), seed=seed, name=name), **grid
+    )
 
 
 def sweep_trials(

@@ -18,7 +18,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 SWEEP = {
     "quick": [32, 64, 128, 256, 512],
@@ -32,7 +32,7 @@ def _deployment(n: int):
     return lambda rng: uniform_square(n=n, side=side, rng=rng)
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E01 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     constants = ProtocolConstants.practical()
@@ -56,7 +56,9 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
         seed,
         "e01",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     rounds_series = []
     for n, res in zip(ns, results):
         result = res.sweep.outcomes[0]

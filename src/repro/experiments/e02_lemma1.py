@@ -18,7 +18,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 SWEEP = {
     "quick": [32, 64, 128, 256],
@@ -45,7 +45,7 @@ def _post(net, sweep):
     }
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E02 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     constants = ProtocolConstants.practical()
@@ -75,7 +75,9 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
         seed,
         "e02",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     by_family: dict[str, list[float]] = {}
     for (n, name, _), res in zip(cells, results):
         mass = res.extras["mass"]

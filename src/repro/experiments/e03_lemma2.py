@@ -26,7 +26,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 #: Effective close-proximity radius guaranteed by the calibrated constants.
 EFFECTIVE_RADIUS = 0.4
@@ -59,7 +59,7 @@ def _post(net, sweep):
     }
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E03 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     constants = ProtocolConstants.practical()
@@ -95,7 +95,9 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
         seed,
         "e03",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     by_family: dict[str, list[float]] = {}
     mins = []
     for (n, name, _), res in zip(cells, results):

@@ -29,7 +29,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 SWEEP = {
     "quick": {"shapes": [(2, 32), (4, 16), (8, 8)], "ks": [5, 7, 10], "trials": 3},
@@ -115,7 +115,7 @@ def broadcast_report(report, cfg, results, bound_fn):
     return slope, intercept, r2, size_exponent
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E04 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -131,8 +131,10 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
     )
     results = run_grid_points(
-        broadcast_points("nospont_broadcast", cfg, constants), seed, "e04"
+        broadcast_points("nospont_broadcast", cfg, constants), seed, "e04",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     # At pinned diameter the bound allows only polylog growth in n; the
     # log-log slope (1.0 = linear) is the discriminating statistic —
     # depth jitter between grids keeps single-model fits from resolving

@@ -16,6 +16,7 @@ from repro.experiments.base import (
     run_grid_points,
 )
 from repro.experiments.e04_nospont import broadcast_points, broadcast_report
+from repro.fastsim.grid import grid_stats
 
 SWEEP = {
     "quick": {
@@ -31,7 +32,7 @@ SWEEP = {
 }
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E05 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -47,8 +48,10 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
     )
     results = run_grid_points(
-        broadcast_points("spont_broadcast", cfg, constants), seed, "e05"
+        broadcast_points("spont_broadcast", cfg, constants), seed, "e05",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     # Fixed n: rounds ~ slope * D + intercept, with the intercept carrying
     # the one-off log^2 n coloring and slope ~ the log n per-hop cost; at
     # pinned depth the coloring term log^2 n dominates the size sweep.

@@ -18,7 +18,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 SWEEP = {
     "quick": {"lengths": [8, 16, 24], "trials": 3},
@@ -26,7 +26,7 @@ SWEEP = {
 }
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E06 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -57,7 +57,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
                     share_deployment=f"chain-{length}",
                 )
             )
-    results = run_grid_points(points, seed, "e06")
+    results = run_grid_points(points, seed, "e06", **grid)
+    report.grid = grid_stats(results, report.exp_id)
     ratios = []
     for i, length in enumerate(cfg["lengths"]):
         nos_res, spont_res = results[2 * i], results[2 * i + 1]

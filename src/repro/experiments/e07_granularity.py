@@ -31,7 +31,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 SWEEP = {
     "quick": {"pers": [2, 4, 8], "spans": [2e-2, 2e-4, 2e-6], "trials": 3},
@@ -48,7 +48,7 @@ HOPS = 12
 KINDS = ("spont_broadcast", "decay_broadcast", "uniform_broadcast")
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E07 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -83,7 +83,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
             )
             for kind in KINDS
         )
-    results = run_grid_points(points, seed, "e07")
+    results = run_grid_points(points, seed, "e07", **grid)
+    report.grid = grid_stats(results, report.exp_id)
     rs_series, sb_series = [], []
     for c, (per, span) in enumerate(cells):
         sb_res, dc_res, un_res = results[3 * c: 3 * c + 3]

@@ -22,7 +22,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 #: Trial counts raised from the pre-grid 3/5 — the batched sweep engine
 #: plus grid parallelism make replications cheap, and the Delta-growth
@@ -35,7 +35,7 @@ SWEEP = {
 SIDE = 2.5
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E08 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -79,7 +79,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
                 share_deployment=f"us-{n}",
             )
         )
-    results = run_grid_points(points, seed, "e08")
+    results = run_grid_points(points, seed, "e08", **grid)
+    report.grid = grid_stats(results, report.exp_id)
     deltas, sb_means, lb_means = [], [], []
     for i, n in enumerate(cfg["ns"]):
         sb_res, lb_res = results[2 * i], results[2 * i + 1]

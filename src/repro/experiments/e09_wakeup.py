@@ -23,7 +23,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import Derived, GridPoint
+from repro.fastsim.grid import Derived, GridPoint, grid_stats
 from repro.sim.wakeup import WakeupSchedule
 
 SWEEP = {
@@ -70,7 +70,7 @@ def _schedule_builders(constants):
     ]
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E09 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -106,7 +106,9 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
         seed,
         "e09",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     normalized = []
     all_success = []
     for (wname, sname, _), res in zip(cells, results):

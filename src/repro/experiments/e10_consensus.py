@@ -21,7 +21,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 SWEEP = {
     "quick": {"n": 32, "xs": [3, 15, 255], "trials": 4},
@@ -29,7 +29,7 @@ SWEEP = {
 }
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E10 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -58,7 +58,9 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
         seed,
         "e10",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     bits_series, round_series = [], []
     all_ok = []
     for x, res in zip(cfg["xs"], results):

@@ -17,7 +17,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 SWEEP = {
     "quick": {"ns": [16, 32], "trials": 4},
@@ -25,7 +25,7 @@ SWEEP = {
 }
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E11 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -51,7 +51,9 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         ],
         seed,
         "e11",
+        **grid,
     )
+    report.grid = grid_stats(results, report.exp_id)
     all_ok = []
     for n, res in zip(cfg["ns"], results):
         ok = res.sweep.success.tolist()

@@ -25,7 +25,7 @@ from repro.experiments.base import (
     run_grid_points,
     trial_rngs,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 
 #: Trial counts raised from the pre-grid 4/8: the spread statistics are
 #: sampling-noise bound, and the batched sweep engine plus grid
@@ -38,7 +38,7 @@ SWEEP = {
 N_CONTROLS = 3
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E12 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -81,7 +81,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         )
         for k in range(N_CONTROLS)
     )
-    results = run_grid_points(points, seed, "e12")
+    results = run_grid_points(points, seed, "e12", **grid)
+    report.grid = grid_stats(results, report.exp_id)
 
     member_means = []
     for res in results[: len(family)]:

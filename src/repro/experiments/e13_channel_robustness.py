@@ -44,7 +44,7 @@ from repro.experiments.base import (
     run_grid_points,
     trial_rngs,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 from repro.network.network import Network
 from repro.sinr.channel import (
     ChannelModel,
@@ -127,7 +127,7 @@ def _point(
     )
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E13 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -189,7 +189,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
                        cfg["trials"], constants),
             )
 
-    results = run_grid_points(points, seed, "e13")
+    results = run_grid_points(points, seed, "e13", **grid)
+    report.grid = grid_stats(results, report.exp_id)
 
     def stats(ch_label: str, dep_label: str):
         res = results[index[(ch_label, dep_label)]]

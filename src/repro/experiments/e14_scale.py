@@ -42,7 +42,7 @@ from repro.experiments.base import (
     run_grid_points,
     trial_rngs,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
 
@@ -69,7 +69,7 @@ def _deploy_base(
     )
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E14 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -105,7 +105,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
             )
         groups.append((n, labels))
 
-    results = run_grid_points(points, seed, "e14")
+    results = run_grid_points(points, seed, "e14", **grid)
+    report.grid = grid_stats(results, report.exp_id)
 
     spreads = {}
     cursor = 0

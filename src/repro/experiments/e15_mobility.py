@@ -47,7 +47,7 @@ from repro.experiments.base import (
     run_grid_points,
     trial_rngs,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
 
@@ -135,7 +135,7 @@ def escape_time(
     return cap
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E15 at ``scale``; see the module docstring and DESIGN.md §5."""
     check_scale(scale)
     cfg = SWEEP[scale]
@@ -207,7 +207,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
             )
             labels.append((family, net.size, rate))
 
-    results = run_grid_points(points, seed, "e15")
+    results = run_grid_points(points, seed, "e15", **grid)
+    report.grid = grid_stats(results, report.exp_id)
 
     static_mean: dict[str, float] = {}
     slowdowns: list[float] = []

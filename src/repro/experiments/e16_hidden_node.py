@@ -38,7 +38,7 @@ from repro.experiments.base import (
     fmt,
     run_grid_points,
 )
-from repro.fastsim.grid import GridPoint
+from repro.fastsim.grid import GridPoint, grid_stats
 from repro.mac import CSMA, SlottedAloha, TdmaFromColoring
 from repro.network.network import Network
 from repro.sinr.params import SINRParameters
@@ -113,7 +113,7 @@ def _cluster_stats(result, flow_ids) -> tuple[float, float]:
     return thr, col
 
 
-def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
+def run(scale: str = "quick", seed: int = 2014, **grid) -> ExperimentReport:
     """Run E16 at ``scale``; see the module docstring and DESIGN.md §11."""
     check_scale(scale)
     rounds = SWEEP[scale]["rounds"]
@@ -145,7 +145,8 @@ def run(scale: str = "quick", seed: int = 2014) -> ExperimentReport:
         )
         for label, mac in macs
     ]
-    results = run_grid_points(points, seed, "e16")
+    results = run_grid_points(points, seed, "e16", **grid)
+    report.grid = grid_stats(results, report.exp_id)
 
     per_mac: dict[str, dict] = {}
     for (label, mac), res in zip(macs, results):

@@ -52,21 +52,17 @@ from repro.fastsim.sweep import SweepResult, run_sweep, sweep_kinds
 from repro.fastsim.cache import ResultCache, point_key
 from repro.fastsim.grid import (
     Derived,
-    GridOptions,
     GridPoint,
     GridPointResult,
     GridSpec,
-    get_default_grid_options,
-    last_grid_stats,
+    grid_stats,
     run_grid,
-    set_default_grid_options,
 )
 
 __all__ = [
     "Derived",
     "FastColoringBatch",
     "FastColoringResult",
-    "GridOptions",
     "GridPoint",
     "GridPointResult",
     "GridSpec",
@@ -83,12 +79,10 @@ __all__ = [
     "fast_nospont_broadcast_batch",
     "fast_spont_broadcast_batch",
     "fast_uniform_broadcast_batch",
-    "get_default_grid_options",
-    "last_grid_stats",
+    "grid_stats",
     "point_key",
     "run_grid",
     "run_sweep",
-    "set_default_grid_options",
     "spawn_rngs",
     "sweep_kinds",
 ]

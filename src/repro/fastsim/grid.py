@@ -162,6 +162,9 @@ class GridPointResult:
     :param sweep: the point's :class:`SweepResult`.
     :param extras: output of the point's ``post`` hook (``{}`` if none).
     :param cached: whether the result was replayed from the on-disk cache.
+    :param resumed: replayed because a ``resume=True`` run found the
+        point in the interrupted run's journal.
+    :param journaled: computed and durably journaled by this run.
     """
 
     point: GridPoint
@@ -169,47 +172,8 @@ class GridPointResult:
     sweep: SweepResult
     extras: dict = field(default_factory=dict)
     cached: bool = False
-
-
-@dataclass
-class GridOptions:
-    """Execution knobs for :func:`run_grid`, settable process-wide.
-
-    :param jobs: worker processes (``<= 1`` = run in-process).
-    :param cache_dir: result-cache directory (``None`` = caching off).
-    :param workers: addresses of :mod:`repro.service` daemons
-        (``"unix:<path>"`` / ``"tcp:<host>:<port>"``, one per host);
-        pending points are sharded across them through the cache result
-        bus (DESIGN.md §9) instead of a fork pool.
-    :param request_timeout: per-request timeout in seconds for
-        service/worker dispatch (``None`` = the client default,
-        :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).
-    :param resume: pick up an interrupted sweep from its journal
-        (``<sweep_key>.journal`` in the cache dir, DESIGN.md §10.1)
-        instead of starting a fresh one; the CLI's ``--resume``.
-    """
-
-    jobs: int = 1
-    cache_dir: Optional[str] = None
-    workers: Optional[list] = None
-    request_timeout: Optional[float] = None
-    resume: bool = False
-
-
-_DEFAULT_OPTIONS = GridOptions()
-
-
-def set_default_grid_options(options: GridOptions) -> None:
-    """Install process-wide defaults (the CLI's ``--jobs``/``--cache-dir``
-    land here; experiment modules call :func:`run_grid` with no options
-    and inherit them)."""
-    global _DEFAULT_OPTIONS
-    _DEFAULT_OPTIONS = options
-
-
-def get_default_grid_options() -> GridOptions:
-    """The process-wide execution defaults :func:`run_grid` inherits."""
-    return _DEFAULT_OPTIONS
+    resumed: bool = False
+    journaled: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -460,21 +424,26 @@ def _fork_available() -> bool:
 def run_grid(
     spec: GridSpec,
     *,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache_dir: "Optional[str | os.PathLike]" = None,
-    cache: Optional[bool] = None,
     workers: Optional[Sequence[str]] = None,
     request_timeout: Optional[float] = None,
-    resume: Optional[bool] = None,
+    resume: bool = False,
 ) -> list[GridPointResult]:
     """Execute a :class:`GridSpec`; results in point order.
 
-    Parameters default to the process-wide :class:`GridOptions` (see
-    :func:`set_default_grid_options`); pass ``cache=False`` to bypass a
-    configured cache for one call.  Execution is result-identical across
-    ``jobs`` values, cache states and execution backends (fork pool,
-    ``workers=``): seeds are fixed at preparation time and cached
-    payloads are the pickled originals.
+    The defaults run serially, in-process and uncached; nothing but the
+    arguments shapes a call.  ``jobs`` is the fork-pool size (``<= 1`` =
+    in-process), ``cache_dir`` the result-cache directory (``None`` =
+    caching off) and ``request_timeout`` the per-request timeout of
+    ``workers=`` dispatch (``None`` = the client default,
+    :data:`repro.service.client.DEFAULT_REQUEST_TIMEOUT`).  Execution is
+    result-identical across ``jobs`` values, cache states and execution
+    backends (fork pool, ``workers=``): seeds are fixed at preparation
+    time and cached payloads are the pickled originals.  What a run
+    replayed and journaled is on the results themselves
+    (:attr:`GridPointResult.cached` / ``resumed`` / ``journaled``;
+    :func:`grid_stats` totals them).
 
     ``workers`` names running :mod:`repro.service` daemons
     (``"unix:<path>"`` / ``"tcp:<host>:<port>"``): pending points are
@@ -500,22 +469,8 @@ def run_grid(
     already journaled, shared-memory segments are unlinked, and worker
     processes are reaped on the way out.
     """
-    options = get_default_grid_options()
-    jobs = options.jobs if jobs is None else jobs
-    cache_dir = options.cache_dir if cache_dir is None else cache_dir
-    workers = options.workers if workers is None else workers
-    request_timeout = (
-        options.request_timeout
-        if request_timeout is None
-        else request_timeout
-    )
-    resume = options.resume if resume is None else resume
-    use_cache = (cache_dir is not None) if cache is None else (
-        cache and cache_dir is not None
-    )
-
     prepared, deployments = _prepare(spec)
-    store = ResultCache(cache_dir) if use_cache else None
+    store = ResultCache(cache_dir) if cache_dir is not None else None
 
     journal: Optional[SweepJournal] = None
     journaled_before: dict = {}
@@ -543,7 +498,6 @@ def run_grid(
 
     results: list[Optional[GridPointResult]] = [None] * len(prepared)
     pending: list[int] = []
-    journal_replays = 0
     for i, prep in enumerate(prepared):
         hit = store.get(prep.key) if store is not None else None
         if hit is not None:
@@ -554,25 +508,20 @@ def run_grid(
                 sweep=sweep,
                 extras=extras,
                 cached=True,
+                resumed=prep.key in journaled_before,
             )
-            if prep.key in journaled_before:
-                journal_replays += 1
         else:
             pending.append(i)
-
-    journal_appends = 0
 
     def finish(i: int, sweep: SweepResult, extras: dict) -> None:
         # Called per point as it completes (both paths), so an interrupt
         # or a failing later point never discards cached work.
-        nonlocal journal_appends
         prep = prepared[i]
-        results[i] = GridPointResult(
+        result = results[i] = GridPointResult(
             point=prep.point,
             network=prep.network,
             sweep=sweep,
             extras=extras,
-            cached=False,
         )
         if store is not None:
             try:
@@ -586,9 +535,8 @@ def run_grid(
                 return
             if journal is not None:
                 journal.append(prep.key)
-                journal_appends += 1
+                result.journaled = True
 
-    n_uncached = len(pending)
     with _interruptible_sigterm():
         if pending and workers:
             # Remote dispatch never raises on point failures: whatever
@@ -622,14 +570,27 @@ def run_grid(
         # (exception, interrupt, SIGKILL) leaves it on disk for
         # resume=True to find.
         journal.complete()
-    _LAST_RUN_STATS.update(
-        name=spec.name,
-        points=len(prepared),
-        cached=len(prepared) - n_uncached,
-        journaled=journal_appends,
-        journal_replays=journal_replays,
-    )
     return results  # type: ignore[return-value]
+
+
+def grid_stats(results: Sequence[GridPointResult], name: str = "") -> dict:
+    """Replay and crash-safety totals of one :func:`run_grid` call.
+
+    ``cached`` counts points replayed from the cache (a replay of
+    *every* point after a code change means the cache is masking the
+    change — see the staleness note in :mod:`repro.fastsim.cache`),
+    ``journaled`` the points durably recorded by the run and
+    ``journal_replays`` the points a ``resume=True`` run skipped because
+    the interrupted run had journaled them.  Results do not carry their
+    grid's name; ``name`` is echoed under the ``"name"`` key.
+    """
+    return {
+        "name": name,
+        "points": len(results),
+        "cached": sum(r.cached for r in results),
+        "journaled": sum(r.journaled for r in results),
+        "journal_replays": sum(r.resumed for r in results),
+    }
 
 
 @contextlib.contextmanager
@@ -662,24 +623,6 @@ def _interruptible_sigterm():
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
-
-
-#: Filled after every :func:`run_grid` call; the CLI reads it to surface
-#: how much of an experiment was replayed from cache (a replay of *every*
-#: point after a code change means the cache is masking the change — see
-#: the staleness note in :mod:`repro.fastsim.cache`) plus the crash-safety
-#: accounting: ``journaled`` (points durably recorded this run) and
-#: ``journal_replays`` (points a ``resume=True`` run skipped because the
-#: interrupted run had journaled them).
-_LAST_RUN_STATS: dict = {
-    "name": "", "points": 0, "cached": 0,
-    "journaled": 0, "journal_replays": 0,
-}
-
-
-def last_grid_stats() -> dict:
-    """Stats of the most recent :func:`run_grid` call in this process."""
-    return dict(_LAST_RUN_STATS)
 
 
 def _run_parallel(

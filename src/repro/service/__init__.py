@@ -5,8 +5,8 @@ full network-build cost per invocation and threw the hot state away.
 This package is the long-running alternative: an asyncio daemon
 (``python -m repro.service``) holds a pool of resident
 :class:`~repro.network.network.Network` objects — sparse CSR backends,
-compiled kernels, lazy caches all warm — and serves SINR / connectivity
-/ ball / mobility-advance queries over newline-delimited JSON on a unix
+compiled kernels, lazy caches all warm — and serves SINR / ball /
+mobility-advance / sweep queries over newline-delimited JSON on a unix
 or TCP socket.
 
 The performance core is the **batch coalescer**
@@ -18,7 +18,8 @@ of the batched resolver
 exact-zero-neutral fold contract makes every answer bitwise identical
 to a dedicated single-query call.  Throughput therefore scales with the
 kernel's batch efficiency instead of per-request Python overhead
-(``benchmarks/bench_service.py`` gates the floor).
+(``benchmarks/bench_service.py`` gates the floor: at least 5x an
+in-process loop of one ``B = 1`` resolver call per query).
 
 Grid sweeps become clients of the same pool through
 ``run_grid(workers=[...])`` (:mod:`repro.fastsim.grid`), and sweep

@@ -59,7 +59,7 @@ async def connect(
     return ServiceClient(reader, writer, timeout=timeout)
 
 
-#: Mirror of the server's stream limit (big displacement/graph frames).
+#: Mirror of the server's stream limit (big displacement frames).
 _STREAM_LIMIT = 256 * 1024 * 1024
 
 #: Default per-request timeout.  Generous — a full-scale sweep point
@@ -226,15 +226,6 @@ class ServiceClient:
             "ball", net=net, center=center, radius=radius
         )
         return reply["stations"]
-
-    async def graph(self, net: str, *, count_only: bool = False) -> dict:
-        """Communication-graph summary (``edges`` unless ``count_only``)."""
-        return await self.request("graph", net=net, count_only=count_only)
-
-    async def is_connected(self, net: str) -> bool:
-        """Whether the communication graph is connected."""
-        reply = await self.request("is_connected", net=net)
-        return reply["connected"]
 
     async def advance(self, net: str, displacements) -> dict:
         """One mobility tick; returns the successor's ``net`` handle and

@@ -85,9 +85,6 @@ class BatchCoalescer:
     :param max_batch: largest batch per call — bounds the ``(B, n)``
         mask a burst can materialize.  Excess items wait for the next
         call, in arrival order.
-    :param enabled: ``False`` serves every item as its own ``B = 1``
-        fold call (the uncoalesced baseline the load benchmark compares
-        against).  Results are bitwise identical either way.
     :param executor: optional ``concurrent.futures`` executor the fold
         runs on.  The server passes a single worker so kernel calls are
         serialized — throughput then measures batch efficiency, not how
@@ -101,7 +98,6 @@ class BatchCoalescer:
         *,
         window: float = 0.002,
         max_batch: int = 128,
-        enabled: bool = True,
         executor=None,
     ):
         if max_batch < 1:
@@ -109,7 +105,6 @@ class BatchCoalescer:
         self._fold = fold
         self.window = window
         self.max_batch = max_batch
-        self.enabled = enabled
         self.executor = executor
         self.stats = CoalescerStats()
         self._pending: list[tuple[object, asyncio.Future]] = []
@@ -133,10 +128,6 @@ class BatchCoalescer:
         delivered normally.
         """
         self.stats.requests += 1
-        if not self.enabled:
-            results = await self._run_fold([item])
-            self.stats.record(1)
-            return results[0]
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._pending.append((item, future))

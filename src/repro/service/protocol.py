@@ -29,9 +29,9 @@ import pickle
 from typing import Optional
 
 #: Hard per-frame byte bound (requests *and* responses).  A 1M-station
-#: displacement array pickles to ~16 MB and a 20k-edge graph reply to a
-#: few MB, so the bound is generous; it exists to turn a corrupt or
-#: hostile stream into a clean error instead of an OOM.
+#: displacement array pickles to ~16 MB, so the bound is generous; it
+#: exists to turn a corrupt or hostile stream into a clean error instead
+#: of an OOM.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 

@@ -19,8 +19,8 @@ Supported ops — see :meth:`ServiceServer.handlers`:
     pool; reply with its fingerprint — the handle every other op takes.
 ``sinr``
     Resolve receptions for one transmitter set through the coalescer.
-``ball`` / ``graph`` / ``is_connected``
-    Geometry and connectivity queries against the resident structures.
+``ball``
+    Stations within a radius, from the resident geometry.
 ``advance``
     One mobility tick: :meth:`Network.advance` (incremental CSR
     patching where applicable), successor admitted to the pool.
@@ -60,11 +60,7 @@ from repro.service.protocol import (
     unpack_pickle,
 )
 from repro.sinr.params import SINRParameters
-from repro.sinr.reception import (
-    NO_SENDER,
-    resolve_reception_batch,
-    resolve_reception_many,
-)
+from repro.sinr.reception import NO_SENDER, resolve_reception_many
 from repro.sysmem import peak_rss_bytes
 
 #: Deployment families the ``build`` op accepts, resolved lazily so the
@@ -176,13 +172,8 @@ class ServiceServer:
         still cache on their side — same keys either way).
     :param window: coalescing window in seconds (see
         :class:`BatchCoalescer`).
-    :param max_batch: largest coalesced batch per kernel call.
-    :param coalesce: ``False`` serves every query as its own ``B = 1``
-        masked call of the classic batched resolver — the legacy
-        pre-coalescer serving model the load benchmark measures
-        against.  Decisions agree with coalesced serving whenever the
-        SINR margin exceeds far-field rounding (sub-band, tested), and
-        bit for bit whenever the far set is empty.
+    :param max_batch: largest coalesced batch per kernel call
+        (``1`` serves every query as its own kernel call).
     :param lease_ttl: time-to-live of the per-point lease files this
         daemon takes on keyed ``sweep`` requests (DESIGN.md §9.2; only
         meaningful with ``cache_dir``).  A lease is refreshed at a
@@ -197,7 +188,6 @@ class ServiceServer:
         cache_dir: Optional[str] = None,
         window: float = 0.002,
         max_batch: int = 128,
-        coalesce: bool = True,
         lease_ttl: float = DEFAULT_TTL_S,
     ):
         self.pool = pool if pool is not None else NetworkPool()
@@ -209,7 +199,6 @@ class ServiceServer:
         )
         self.window = window
         self.max_batch = max_batch
-        self.coalesce = coalesce
         # One worker: kernel calls are serialized, so measured
         # throughput reflects batch efficiency rather than core-count
         # contention, and resident-memory pressure stays single-fold.
@@ -394,8 +383,6 @@ class ServiceServer:
             "build": self._op_build,
             "sinr": self._op_sinr,
             "ball": self._op_ball,
-            "graph": self._op_graph,
-            "is_connected": self._op_is_connected,
             "advance": self._op_advance,
             "sweep": self._op_sweep,
             "stats": self._op_stats,
@@ -460,14 +447,12 @@ class ServiceServer:
         coalescer = self._coalescers.get(key)
         if coalescer is None:
             fold = functools.partial(
-                _fold_sinr if self.coalesce else _fold_sinr_legacy,
-                net.gain_operator, float(noise), float(beta),
+                _fold_sinr, net.gain_operator, float(noise), float(beta),
             )
             coalescer = BatchCoalescer(
                 fold,
                 window=self.window,
                 max_batch=self.max_batch,
-                enabled=self.coalesce,
                 executor=self._kernel_executor,
             )
             self._coalescers[key] = coalescer
@@ -509,31 +494,6 @@ class ServiceServer:
             raise ServiceError(f"center must be in [0, {net.size})")
         members = await asyncio.to_thread(net.ball, center, radius)
         return {"stations": np.asarray(members).tolist()}
-
-    async def _op_graph(self, request: dict) -> dict:
-        """Communication-graph summary (edge list unless ``count_only``)."""
-        net = self._network(request)
-
-        def build() -> dict:
-            graph = net.graph
-            payload = {
-                "n": net.size,
-                "num_edges": graph.number_of_edges(),
-                "max_degree": net.max_degree,
-            }
-            if not request.get("count_only"):
-                payload["edges"] = [
-                    [int(u), int(v)] for u, v in graph.edges()
-                ]
-            return payload
-
-        return await asyncio.to_thread(build)
-
-    async def _op_is_connected(self, request: dict) -> dict:
-        """Connectivity of the communication graph."""
-        net = self._network(request)
-        connected = await asyncio.to_thread(lambda: net.is_connected)
-        return {"connected": bool(connected)}
 
     async def _op_advance(self, request: dict) -> dict:
         """One mobility tick; the successor becomes resident."""
@@ -719,7 +679,6 @@ class ServiceServer:
             "peak_rss_bytes": peak_rss_bytes(),
             "pool": self.pool.stats(),
             "coalescers": coalescers,
-            "coalescing": self.coalesce,
             "window_s": self.window,
             "max_batch": self.max_batch,
         }
@@ -776,27 +735,3 @@ def _fold_sinr(gain_operator, noise: float, beta: float, sets) -> list:
         gain_operator, sets, noise, beta, compact=True
     )
 
-
-def _fold_sinr_legacy(
-    gain_operator, noise: float, beta: float, sets
-) -> list:
-    """Per-request ``B = 1`` masked resolves — the uncoalesced baseline.
-
-    What serving looked like before the coalescer existed: each query
-    builds its own ``(1, n)`` transmitter mask and pays one full
-    batched-resolver call — per-request cell/far-field setup included.
-    ``benchmarks/bench_service.py`` runs a ``coalesce=False`` server on
-    this fold to measure the coalescing speedup floor against it.
-    Results use the same ``(receivers, senders)`` reply shape as
-    :func:`_fold_sinr` so reply building is mode-independent.
-    """
-    shape = getattr(gain_operator, "shape", None)
-    n = shape[0] if shape is not None else gain_operator.n
-    out = []
-    for transmitters in sets:
-        mask = np.zeros((1, n), dtype=bool)
-        mask[0, np.asarray(transmitters, dtype=np.intp)] = True
-        row = resolve_reception_batch(gain_operator, mask, noise, beta)[0]
-        receivers = np.flatnonzero(row != NO_SENDER)
-        out.append((receivers, row[receivers]))
-    return out

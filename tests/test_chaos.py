@@ -52,7 +52,7 @@ from repro.fastsim.cache import QUARANTINE_SUFFIX, ResultCache
 from repro.fastsim.grid import (
     GridPoint,
     GridSpec,
-    last_grid_stats,
+    grid_stats,
     run_grid,
 )
 from repro.fastsim.journal import JOURNAL_SUFFIX, SweepJournal, sweep_key
@@ -414,7 +414,7 @@ class TestResume:
         resumed = run_grid(
             spec, jobs=1, cache_dir=str(work), resume=True
         )
-        stats = last_grid_stats()
+        stats = grid_stats(resumed)
         # Exactly the journaled points replayed; only the rest recomputed.
         assert stats["journal_replays"] == 2
         assert stats["cached"] == 2
@@ -438,10 +438,42 @@ class TestResume:
         # resume=False (the default): stale bookkeeping is dropped, the
         # run completes, and nothing counts as a journal replay.
         results = run_grid(spec, jobs=1, cache_dir=str(tmp_path))
-        stats = last_grid_stats()
+        stats = grid_stats(results)
         assert stats["journal_replays"] == 0
         assert all(r is not None for r in results)
         assert not list(tmp_path.glob("*" + JOURNAL_SUFFIX))
+
+    def test_cli_resume_reports_skipped_points(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments import registry
+        from repro.experiments.__main__ import main
+        from repro.experiments.base import ExperimentReport, run_grid_points
+
+        def run(scale="quick", seed=2014, **grid):
+            results = run_grid_points(
+                _chaos_spec(post=_bomb_post).points, seed, "chaos-cli",
+                **grid,
+            )
+            report = ExperimentReport(
+                "E99", "bomb", "resume", ["points"], [[len(results)]]
+            )
+            report.grid = grid_stats(results, report.exp_id)
+            return report
+
+        monkeypatch.setitem(registry._REGISTRY, "E99", run)
+        cli = ["E99", "--cache-dir", str(tmp_path)]
+        _arm_bomb(after=2)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(cli)
+        finally:
+            _disarm_bomb()
+        capsys.readouterr()
+        assert main(cli + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "2/4 grid points from cache" in out
+        assert "resumed: 2 journaled points skipped" in out
 
     def test_resume_without_cache_warns_and_runs(self):
         spec = _chaos_spec(name="chaos-nocache")
@@ -450,8 +482,8 @@ class TestResume:
         assert all(r is not None for r in results)
 
     def test_clean_finish_leaves_no_journal(self, tmp_path):
-        run_grid(_chaos_spec(), jobs=1, cache_dir=str(tmp_path))
-        assert last_grid_stats()["journaled"] == len(_chaos_spec().points)
+        results = run_grid(_chaos_spec(), jobs=1, cache_dir=str(tmp_path))
+        assert grid_stats(results)["journaled"] == len(results)
         assert not list(tmp_path.glob("*" + JOURNAL_SUFFIX))
 
     def test_resume_of_finished_sweep_is_plain_replay(self, tmp_path):
@@ -460,7 +492,7 @@ class TestResume:
         again = run_grid(
             spec, jobs=1, cache_dir=str(tmp_path), resume=True
         )
-        stats = last_grid_stats()
+        stats = grid_stats(again)
         assert stats["cached"] == len(spec.points)
         assert stats["journal_replays"] == 0  # no journal: clean finish
         _assert_same_results(first, again)
@@ -785,7 +817,7 @@ def _child_grid(cache_dir, resume_flag):
         resume=bool(int(resume_flag)),
     )
     payload = {
-        "stats": last_grid_stats(),
+        "stats": grid_stats(results),
         "digests": [
             hashlib.sha256(pickle.dumps(r.sweep)).hexdigest()
             for r in results

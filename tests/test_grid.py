@@ -14,12 +14,10 @@ from repro.fastsim.cache import (
 )
 from repro.fastsim.grid import (
     Derived,
-    GridOptions,
     GridPoint,
     GridSpec,
-    get_default_grid_options,
+    grid_stats,
     run_grid,
-    set_default_grid_options,
 )
 
 CONSTANTS = ProtocolConstants.practical()
@@ -227,10 +225,26 @@ class TestResultCache:
             for so, po in zip(s.sweep.outcomes, p.sweep.outcomes):
                 assert np.array_equal(so.informed_round, po.informed_round)
 
+    def test_grid_stats_totals_the_results(self, tmp_path):
+        spec = _spec([_uniform_point(n) for n in (10, 14)])
+        first = run_grid(spec, jobs=1, cache_dir=tmp_path)
+        assert all(r.journaled and not r.resumed for r in first)
+        assert grid_stats(first, "g") == {
+            "name": "g", "points": 2, "cached": 0,
+            "journaled": 2, "journal_replays": 0,
+        }
+        second = grid_stats(run_grid(spec, jobs=1, cache_dir=tmp_path))
+        assert second["cached"] == second["points"] == 2
+        assert second["journaled"] == second["journal_replays"] == 0
+        # Without a cache nothing is journaled or replayed.
+        assert grid_stats(run_grid(spec, jobs=1))["journaled"] == 0
+
     def test_cache_false_bypasses_store(self, tmp_path):
+        # Caching is off unless the call names a directory: a populated
+        # store is invisible to a call without cache_dir.
         spec = _spec([_uniform_point()])
         run_grid(spec, jobs=1, cache_dir=tmp_path)
-        again = run_grid(spec, jobs=1, cache_dir=tmp_path, cache=False)
+        again = run_grid(spec, jobs=1)
         assert not again[0].cached
 
     def test_constants_change_is_a_miss(self, tmp_path):
@@ -352,25 +366,6 @@ class TestResultCache:
         results = run_grid(full, jobs=1, cache_dir=tmp_path)
         assert results[0].cached
         assert not results[1].cached
-
-
-class TestDefaultOptions:
-    def test_cli_installed_defaults_are_used(self, tmp_path):
-        before = get_default_grid_options()
-        try:
-            set_default_grid_options(
-                GridOptions(jobs=1, cache_dir=str(tmp_path))
-            )
-            spec = _spec([_uniform_point()])
-            run_grid(spec)
-            assert run_grid(spec)[0].cached
-        finally:
-            set_default_grid_options(before)
-
-    def test_library_default_is_serial_uncached(self):
-        options = GridOptions()
-        assert options.jobs == 1
-        assert options.cache_dir is None
 
 
 class TestFingerprinting:

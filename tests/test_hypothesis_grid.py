@@ -63,8 +63,8 @@ def test_parallel_grid_bitwise_equals_serial(sizes, trials, seed,
         for i, n in enumerate(sizes)
     ]
     spec = GridSpec(points=points, seed=seed, name="hyp-grid")
-    serial = run_grid(spec, jobs=1, cache=False)
-    parallel = run_grid(spec, jobs=4, cache=False)
+    serial = run_grid(spec, jobs=1)
+    parallel = run_grid(spec, jobs=4)
     for s, p in zip(serial, parallel):
         assert np.array_equal(s.sweep.rounds, p.sweep.rounds,
                               equal_nan=True)
@@ -165,7 +165,7 @@ def test_cache_misses_across_channels_and_parallel_matches_serial(
         assert not cross[0].cached  # different channel: miss, not replay
         replay = run_grid(spec(shadowed), jobs=1, cache_dir=cache_dir)
         assert replay[0].cached
-    parallel = run_grid(spec(shadowed), jobs=2, cache=False)
+    parallel = run_grid(spec(shadowed), jobs=2)
     assert np.array_equal(
         cross[0].sweep.rounds, parallel[0].sweep.rounds, equal_nan=True
     )

@@ -486,17 +486,10 @@ class TestE16:
 
         assert "E16" in list_experiments()
 
-    def test_quick_metrics_hold(self, tmp_path):
+    def test_quick_metrics_hold(self):
         from repro.experiments.registry import get_experiment
-        from repro.fastsim.grid import GridOptions, set_default_grid_options
 
-        try:
-            set_default_grid_options(
-                GridOptions(jobs=1, cache_dir=str(tmp_path))
-            )
-            report = get_experiment("E16")(scale="quick")
-        finally:
-            set_default_grid_options(GridOptions())
+        report = get_experiment("E16")(scale="quick")
         # The asymmetry: hidden flows collide an order of magnitude more
         # than sensed ones under CSMA.
         assert report.metrics["csma_asymmetry"] > 5.0
@@ -514,27 +507,13 @@ class TestE16:
 
     def test_quick_jobs_identity_and_cache_replay(self, tmp_path):
         from repro.experiments.registry import get_experiment
-        from repro.fastsim.grid import (
-            GridOptions,
-            last_grid_stats,
-            set_default_grid_options,
-        )
 
         run = get_experiment("E16")
-        try:
-            set_default_grid_options(
-                GridOptions(jobs=1, cache_dir=str(tmp_path))
-            )
-            serial = run(scale="quick", seed=91)
-            set_default_grid_options(
-                GridOptions(jobs=2, cache_dir=str(tmp_path))
-            )
-            replayed = run(scale="quick", seed=91)
-            stats = last_grid_stats()
-            assert stats["cached"] == stats["points"] > 0
-            set_default_grid_options(GridOptions(jobs=2, cache_dir=None))
-            parallel = run(scale="quick", seed=91)
-        finally:
-            set_default_grid_options(GridOptions())
+        serial = run(scale="quick", seed=91, cache_dir=str(tmp_path))
+        replayed = run(
+            scale="quick", seed=91, jobs=2, cache_dir=str(tmp_path)
+        )
+        assert replayed.grid["cached"] == replayed.grid["points"] > 0
+        parallel = run(scale="quick", seed=91, jobs=2)
         assert serial.metrics == replayed.metrics == parallel.metrics
         assert serial.rows == parallel.rows

@@ -241,42 +241,21 @@ class TestE15:
     def test_quick_jobs_identity_and_cache_replay(self, tmp_path):
         """The E15 acceptance: --jobs 2 == --jobs 1, cache replay works."""
         from repro.experiments.registry import get_experiment
-        from repro.fastsim.grid import (
-            GridOptions,
-            last_grid_stats,
-            set_default_grid_options,
-        )
 
         run = get_experiment("E15")
-        try:
-            set_default_grid_options(
-                GridOptions(jobs=1, cache_dir=str(tmp_path))
-            )
-            serial = run(scale="quick", seed=77)
-            set_default_grid_options(
-                GridOptions(jobs=2, cache_dir=str(tmp_path))
-            )
-            replayed = run(scale="quick", seed=77)
-            stats = last_grid_stats()
-            assert stats["cached"] == stats["points"] > 0
-            set_default_grid_options(GridOptions(jobs=2, cache_dir=None))
-            parallel = run(scale="quick", seed=77)
-        finally:
-            set_default_grid_options(GridOptions())
+        serial = run(scale="quick", seed=77, cache_dir=str(tmp_path))
+        replayed = run(
+            scale="quick", seed=77, jobs=2, cache_dir=str(tmp_path)
+        )
+        assert replayed.grid["cached"] == replayed.grid["points"] > 0
+        parallel = run(scale="quick", seed=77, jobs=2)
         assert serial.metrics == replayed.metrics == parallel.metrics
         assert serial.rows == parallel.rows
 
-    def test_quick_metrics_hold(self, tmp_path):
+    def test_quick_metrics_hold(self):
         from repro.experiments.registry import get_experiment
-        from repro.fastsim.grid import GridOptions, set_default_grid_options
 
-        try:
-            set_default_grid_options(
-                GridOptions(jobs=1, cache_dir=str(tmp_path))
-            )
-            report = get_experiment("E15")(scale="quick")
-        finally:
-            set_default_grid_options(GridOptions())
+        report = get_experiment("E15")(scale="quick")
         assert report.metrics["min_success_rate"] >= 0.9
         assert report.metrics["max_slowdown"] < 3.0
         assert report.metrics["escape_monotone"] is True

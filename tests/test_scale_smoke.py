@@ -63,8 +63,7 @@ def test_50k_wakeup_sweep_through_grid_layer():
         },
     )
     results = run_grid(
-        GridSpec(points=[point], seed=7, name="smoke-50k"),
-        jobs=1, cache=False,
+        GridSpec(points=[point], seed=7, name="smoke-50k"), jobs=1
     )
     sweep = results[0].sweep
     assert sweep.n_replications == 1

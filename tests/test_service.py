@@ -3,8 +3,8 @@
 The load-bearing claims, each pinned here:
 
 * **Coalescing is invisible** — responses to concurrently issued SINR
-  queries (folded into shared kernel calls) are bitwise identical to an
-  uncoalesced server's and to direct in-process resolution.
+  queries (folded into shared kernel calls) are bitwise identical to a
+  ``max_batch=1`` server's and to direct in-process resolution.
 * **The pool is a budgeted LRU** — admission past the byte budget evicts
   least-recently-used networks, never the one just admitted, and ``get``
   refreshes recency.
@@ -263,22 +263,6 @@ class TestBatchCoalescer:
         asyncio.run(go())
         assert max(sizes) <= 3 and sum(sizes) == 7
 
-    def test_disabled_serves_singles(self):
-        sizes = []
-
-        def fold(items):
-            sizes.append(len(items))
-            return list(items)
-
-        async def go():
-            co = BatchCoalescer(fold, window=0.01, enabled=False)
-            await asyncio.gather(*(co.submit(i) for i in range(4)))
-            return co
-
-        co = asyncio.run(go())
-        assert sizes == [1, 1, 1, 1]
-        assert co.stats.folded == 0
-
     def test_cancellation_mid_batch_spares_batchmates(self):
         folded = []
 
@@ -320,13 +304,13 @@ class TestBatchCoalescer:
 
 
 # ----------------------------------------------------------------------
-# serve == direct call, coalesced or not
+# serve == direct call, coalesced or one query per kernel call
 # ----------------------------------------------------------------------
 class TestCoalescedEquivalence:
-    def _serve_all(self, coalesce):
+    def _serve_all(self, max_batch):
         async def go():
             async with _serve(
-                window=0.01, max_batch=16, coalesce=coalesce
+                window=0.01, max_batch=max_batch
             ) as (server, client):
                 built = await client.build(SPEC)
                 sets = _transmitter_sets(built["n"], 12)
@@ -338,8 +322,8 @@ class TestCoalescedEquivalence:
         return asyncio.run(go())
 
     def test_coalesced_matches_uncoalesced_and_direct(self):
-        built, sets, coalesced, server = self._serve_all(coalesce=True)
-        _, _, singles, _ = self._serve_all(coalesce=False)
+        built, sets, coalesced, server = self._serve_all(max_batch=16)
+        _, _, singles, single_server = self._serve_all(max_batch=1)
 
         # The coalesced run actually batched (else this test is vacuous).
         stats = [
@@ -347,8 +331,13 @@ class TestCoalescedEquivalence:
         ]
         assert sum(s.requests for s in stats) == len(sets)
         assert max(s.max_batch for s in stats) > 1
+        assert all(
+            co.stats.max_batch == 1
+            for co in single_server._coalescers.values()
+        )
 
-        # Service (both modes) == direct in-process resolution, bitwise.
+        # Service (both batch caps) == direct in-process resolution,
+        # bitwise.
         net = build_network(SPEC)
         direct = resolve_reception_many(
             net.gain_operator, sets, net.params.noise, net.params.beta
@@ -465,19 +454,11 @@ class TestServerOps:
         async def go():
             async with _serve() as (_, client):
                 built = await client.build(SPEC)
-                ball = await client.ball(built["net"], 0, 0.75)
-                graph = await client.graph(built["net"])
-                connected = await client.is_connected(built["net"])
-                return ball, graph, connected
+                return await client.ball(built["net"], 0, 0.75)
 
-        ball, graph, connected = asyncio.run(go())
+        ball = asyncio.run(go())
         net = build_network(SPEC)
         assert ball == np.asarray(net.ball(0, 0.75)).tolist()
-        assert graph["num_edges"] == net.graph.number_of_edges()
-        assert sorted(map(tuple, graph["edges"])) == sorted(
-            (int(u), int(v)) for u, v in net.graph.edges()
-        )
-        assert connected == net.is_connected
 
     def test_advance_admits_successor(self):
         async def go():
@@ -645,7 +626,7 @@ class TestSweepAndGrid:
         # the ordinary point_key, so a CLI run against the same directory
         # replays them without recomputing.
         with _server_thread(cache_dir=str(tmp_path)) as address:
-            served = run_grid(_spec(), workers=[address], cache=False)
+            served = run_grid(_spec(), workers=[address])
         hookless = [
             r for r in run_grid(_spec(), jobs=1, cache_dir=str(tmp_path))
             if r.point.post is None

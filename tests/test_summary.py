@@ -1,4 +1,6 @@
-"""Tests for the Markdown summary writer."""
+"""Tests for the Markdown summary writer and the CLI around it."""
+
+import re
 
 import pytest
 
@@ -72,20 +74,57 @@ class TestReportsToMarkdown:
 class TestCliMarkdown:
     def test_cli_writes_markdown(self, tmp_path):
         from repro.experiments.__main__ import main
-        from repro.fastsim.grid import GridOptions, set_default_grid_options
 
         out = tmp_path / "report.md"
-        try:
-            # The CLI installs process-wide GridOptions (including its
-            # cache dir); restore the defaults so the leak never poisons
-            # later tests' uncached run_grid calls.
-            code = main(
-                ["E01", "--scale", "quick", "--markdown", str(out),
-                 "--cache-dir", str(tmp_path / "cache")]
-            )
-        finally:
-            set_default_grid_options(GridOptions())
+        code = main(
+            ["E01", "--scale", "quick", "--markdown", str(out),
+             "--cache-dir", str(tmp_path / "cache")]
+        )
         assert code == 0
         text = out.read_text()
         assert "E01" in text
         assert "| n |" in text or "| n " in text
+
+
+class TestCliRunStats:
+    def test_second_run_reports_full_replay(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        cli = ["E01", "--cache-dir", str(tmp_path)]
+        assert main(cli) == 0
+        first = capsys.readouterr().out
+        assert "from cache" not in first
+        assert main(cli) == 0
+        again = capsys.readouterr().out
+        replayed = re.search(r"(\d+)/(\d+) grid points from cache", again)
+        assert replayed and replayed.group(1) == replayed.group(2)
+        # The replay renders the same report as the computing run.
+        assert again.split("\n(")[0] == first.split("\n(")[0]
+
+    def test_cli_options_do_not_outlive_the_run(self, tmp_path):
+        from repro.core.constants import ProtocolConstants
+        from repro.deploy import uniform_square
+        from repro.experiments.__main__ import main
+        from repro.fastsim.grid import GridPoint, GridSpec, run_grid
+
+        cache = tmp_path / "cache"
+        assert main(["E01", "--cache-dir", str(cache), "--jobs", "2"]) == 0
+        entries = sorted(cache.rglob("*"))
+        spec = GridSpec(
+            points=[
+                GridPoint(
+                    kind="spont_broadcast",
+                    deployment=lambda rng: uniform_square(
+                        n=10, side=1.5, rng=rng
+                    ),
+                    n_replications=2,
+                    constants=ProtocolConstants.practical(),
+                    kwargs={"source": 0},
+                )
+            ],
+            seed=3,
+            name="after-cli",
+        )
+        for _ in range(2):
+            assert not run_grid(spec)[0].cached
+        assert sorted(cache.rglob("*")) == entries
